@@ -2,10 +2,12 @@
 # Seeded mine+serve workload for the CI bench-regression job. Every
 # number this produces and compares is a deterministic work counter
 # (src/obs): wall-clock never enters the gate, so it holds on slow,
-# noisy, single-core runners.
+# noisy, single-core runners. Counters can stay equal while output bytes
+# change, so the phase-1 mine CSV and the phase-2 model artifact are
+# also pinned by md5 (bench/baselines/output_md5.txt).
 #
 #   bench_regression.sh <build-dir>             # compare to baseline
-#   bench_regression.sh <build-dir> --refresh   # rewrite the baseline
+#   bench_regression.sh <build-dir> --refresh   # rewrite the baselines
 #
 # The one-command baseline refresh after an intentional change to the
 # mining pipeline or the instrumentation:
@@ -20,6 +22,7 @@ BUILD=${1:?usage: bench_regression.sh <build-dir> [--refresh]}
 MODE=${2:-}
 REPO=$(cd "$(dirname "$0")/.." && pwd)
 BASELINE="$REPO/bench/baselines/counters_baseline.json"
+OUTPUT_MD5="$REPO/bench/baselines/output_md5.txt"
 WORK=$(mktemp -d)
 SERVE_PID=
 
@@ -39,7 +42,8 @@ trap cleanup EXIT
   --active-fraction=0.3 --output="$WORK/screen.smi" >/dev/null
 
 "$BUILD/tools/graphsig_mine" --input="$WORK/screen.smi" --active-only \
-  --radius=4 --threads=2 --metrics-out="$WORK/mine_metrics.json" >/dev/null
+  --radius=4 --threads=2 --metrics-out="$WORK/mine_metrics.json" \
+  --csv="$WORK/mine.csv" >/dev/null
 
 # The approx tier's counters (samples drawn, walk steps, iso tests) are
 # deterministic for a fixed seed, so they gate exactly like mining's.
@@ -166,4 +170,13 @@ else
     serve_sharded="$WORK/serve_sharded_metrics.json" \
     micro="$WORK/micro_metrics.json" \
     ingest="$WORK/ingest_metrics.json"
+fi
+
+# --- Phase 4: gate on the output bytes ---------------------------------
+if [ "$MODE" = "--refresh" ]; then
+  (cd "$WORK" && md5sum mine.csv model.gsig) >"$OUTPUT_MD5"
+  echo "bench_regression: wrote $OUTPUT_MD5"
+elif ! (cd "$WORK" && md5sum --check --quiet "$OUTPUT_MD5"); then
+  echo "bench_regression: output bytes differ from $OUTPUT_MD5" >&2
+  exit 1
 fi

@@ -7,6 +7,7 @@
 #include "fsm/dfs_code.h"
 #include "fsm/maximal.h"
 #include "fsm/miner.h"
+#include "graph/csr.h"
 #include "graph/isomorphism.h"
 #include "obs/metrics.h"
 #include "stats/pvalue_model.h"
@@ -183,12 +184,18 @@ void MergeRegionOutput(RegionTaskOutput&& output,
 void ComputeDbFrequencies(const GraphSigConfig& config,
                           const GraphDatabase& db,
                           std::vector<SignificantSubgraph>* subgraphs) {
-  if (!config.compute_db_frequency) return;
+  if (!config.compute_db_frequency || subgraphs->empty()) return;
+  // Every pattern is matched against every graph: flatten each database
+  // graph to CSR once per mine and each pattern once, not both per pair.
+  std::vector<graph::CsrGraph> targets;
+  targets.reserve(db.size());
+  for (const graph::Graph& g : db.graphs()) targets.emplace_back(g);
   util::ParallelFor(config.num_threads, subgraphs->size(), [&](size_t i) {
     SignificantSubgraph& sg = (*subgraphs)[i];
+    const graph::CsrGraph pattern(sg.subgraph);
     int64_t frequency = 0;
-    for (const graph::Graph& g : db.graphs()) {
-      if (graph::IsSubgraphIsomorphic(sg.subgraph, g)) ++frequency;
+    for (const graph::CsrGraph& g : targets) {
+      if (graph::IsSubgraphIsomorphic(pattern, g)) ++frequency;
     }
     sg.db_frequency = frequency;
   });

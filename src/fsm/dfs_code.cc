@@ -1,6 +1,8 @@
 #include "fsm/dfs_code.h"
 
 #include <algorithm>
+#include <charconv>
+#include <optional>
 #include <tuple>
 
 #include "util/check.h"
@@ -50,10 +52,22 @@ std::vector<int> DfsCode::BuildRmPath() const {
 }
 
 std::string DfsCode::ToString() const {
+  // Same bytes as "(%d,%d,%d,%d,%d)" per edge. std::to_chars skips
+  // printf's format parsing, which showed in profiles of the dedup keys.
   std::string out;
+  out.reserve(edges_.size() * 16);
+  char buf[64];  // 5 x int32 (<= 11 chars each) + 6 punctuation
   for (const DfsEdge& e : edges_) {
-    out += util::StrPrintf("(%d,%d,%d,%d,%d)", e.from, e.to, e.from_label,
-                           e.edge_label, e.to_label);
+    char* p = buf;
+    char* const end = buf + sizeof(buf);
+    *p++ = '(';
+    for (int32_t field : {e.from, e.to, e.from_label, e.edge_label}) {
+      p = std::to_chars(p, end, field).ptr;
+      *p++ = ',';
+    }
+    p = std::to_chars(p, end, e.to_label).ptr;
+    *p++ = ')';
+    out.append(buf, p);
   }
   return out;
 }
@@ -76,14 +90,254 @@ bool DfsEdgeLess(const DfsEdge& a, const DfsEdge& b) {
 
 namespace {
 
-// Embedding of a DFS-code prefix into the pattern graph itself, used by
-// the canonical (minimum) code construction. Patterns are small, so a
-// dense representation is simplest and fast enough.
-struct Emb {
-  std::vector<graph::VertexId> dfs_to_g;  // DFS id -> graph vertex
-  std::vector<bool> edge_used;            // indexed by edge index
-  std::vector<bool> vertex_used;          // indexed by graph vertex
+using graph::AdjEntry;
+using graph::EdgeRecord;
+using graph::Label;
+using graph::VertexId;
+
+// Embeddings of the current minimum-code prefix into the graph, stored
+// flat. Each one is a DFS id -> vertex map plus used-edge and
+// used-vertex bit masks. The mask width is fixed per graph (one word
+// covers the <= 25-edge patterns gSpan checks), so copying an
+// embedding is a few word copies instead of two vector<bool>s.
+class EmbeddingSet {
+ public:
+  EmbeddingSet(int32_t num_vertices, int32_t num_edges)
+      : map_stride_(static_cast<size_t>(num_vertices)),
+        edge_words_(static_cast<size_t>(num_edges + 63) / 64),
+        mask_stride_(edge_words_ + static_cast<size_t>(num_vertices + 63) /
+                                       64) {}
+
+  size_t size() const { return size_; }
+  void clear() { size_ = 0; }
+
+  const VertexId* map(size_t k) const { return &maps_[k * map_stride_]; }
+  bool EdgeUsed(size_t k, int32_t e) const {
+    return Test(&masks_[k * mask_stride_], e);
+  }
+  bool VertexUsed(size_t k, VertexId v) const {
+    return Test(&masks_[k * mask_stride_ + edge_words_], v);
+  }
+
+  // Appends a fresh embedding of a single edge instance.
+  void AddSeed(VertexId a, VertexId b, int32_t edge) {
+    const size_t k = Grow();
+    std::fill_n(&masks_[k * mask_stride_], mask_stride_, 0);
+    maps_[k * map_stride_] = a;
+    maps_[k * map_stride_ + 1] = b;
+    Mark(k, edge, a, b);
+  }
+
+  // Appends embedding k of `from` grown by one edge; `new_dfs` >= 0 maps
+  // that DFS id to `new_vertex` (forward growth).
+  void AddGrown(const EmbeddingSet& from, size_t k, int32_t edge,
+                int32_t new_dfs, VertexId new_vertex) {
+    const size_t j = Grow();
+    std::copy_n(&from.maps_[k * map_stride_], map_stride_,
+                &maps_[j * map_stride_]);
+    std::copy_n(&from.masks_[k * mask_stride_], mask_stride_,
+                &masks_[j * mask_stride_]);
+    if (new_dfs >= 0) maps_[j * map_stride_ + new_dfs] = new_vertex;
+    Mark(j, edge, new_vertex, new_vertex);
+  }
+
+  friend void swap(EmbeddingSet& a, EmbeddingSet& b) {
+    std::swap(a.size_, b.size_);
+    a.maps_.swap(b.maps_);
+    a.masks_.swap(b.masks_);
+  }
+
+ private:
+  static bool Test(const uint64_t* mask, int32_t bit) {
+    return (mask[bit >> 6] >> (bit & 63)) & 1;
+  }
+  static void Set(uint64_t* mask, int32_t bit) {
+    mask[bit >> 6] |= uint64_t{1} << (bit & 63);
+  }
+
+  size_t Grow() {
+    const size_t k = size_++;
+    if (maps_.size() < size_ * map_stride_) {
+      maps_.resize(size_ * map_stride_ * 2);
+      masks_.resize(size_ * mask_stride_ * 2);
+    }
+    return k;
+  }
+
+  void Mark(size_t k, int32_t edge, VertexId a, VertexId b) {
+    uint64_t* mask = &masks_[k * mask_stride_];
+    Set(mask, edge);
+    Set(mask + edge_words_, a);
+    Set(mask + edge_words_, b);
+  }
+
+  const size_t map_stride_;
+  const size_t edge_words_;
+  const size_t mask_stride_;
+  size_t size_ = 0;
+  std::vector<VertexId> maps_;
+  std::vector<uint64_t> masks_;
 };
+
+// Grows the minimum DFS code of the connected, non-empty-edge graph `g`
+// into the empty `code`, one edge at a time. Each step keeps only the
+// embeddings that realize the minimum prefix, so it is the gSpan
+// canonical construction. With a candidate, it returns false at the
+// first edge where the minimum departs from the candidate: the is-min
+// check then costs only the prefix it agrees on. Otherwise it returns
+// true with the full minimum code.
+bool GrowMinDfsCode(const graph::Graph& g, const DfsCode* candidate,
+                    DfsCode* code) {
+  auto extend_agrees = [&](const DfsEdge& e) {
+    code->Push(e);
+    return candidate == nullptr || (*candidate)[code->size() - 1] == e;
+  };
+
+  // Seed with the minimal (from_label, edge_label, to_label) edge over all
+  // directed instances.
+  using Triple = std::tuple<Label, Label, Label>;
+  Triple best{INT32_MAX, INT32_MAX, INT32_MAX};
+  for (const EdgeRecord& e : g.edges()) {
+    Triple ab{g.vertex_label(e.u), e.label, g.vertex_label(e.v)};
+    Triple ba{g.vertex_label(e.v), e.label, g.vertex_label(e.u)};
+    best = std::min(best, std::min(ab, ba));
+  }
+  if (!extend_agrees({0, 1, std::get<0>(best), std::get<1>(best),
+                      std::get<2>(best)})) {
+    return false;
+  }
+
+  EmbeddingSet embs(g.num_vertices(), g.num_edges());
+  EmbeddingSet next(g.num_vertices(), g.num_edges());
+  for (int32_t ei = 0; ei < g.num_edges(); ++ei) {
+    const EdgeRecord& e = g.edges()[ei];
+    for (int dir = 0; dir < 2; ++dir) {
+      VertexId a = dir == 0 ? e.u : e.v;
+      VertexId b = dir == 0 ? e.v : e.u;
+      if (Triple{g.vertex_label(a), e.label, g.vertex_label(b)} != best) {
+        continue;
+      }
+      embs.AddSeed(a, b, ei);
+    }
+  }
+  GS_CHECK(embs.size() > 0);
+
+  const Label min_label = std::get<0>(best);
+  std::vector<int> rmpath;
+
+  while (static_cast<int32_t>(code->size()) < g.num_edges()) {
+    rmpath = code->BuildRmPath();
+    const int32_t maxtoc = (*code)[rmpath[0]].to;  // rightmost vertex DFS id
+    const Label rm_vertex_label = (*code)[rmpath[0]].to_label;
+    next.clear();
+
+    // --- Backward extensions: smallest (to, edge_label) wins. Iterate
+    // rmpath from the root side so 'to' ascends; first hit is minimal in
+    // 'to', then take the minimal edge label for that 'to'.
+    bool extended = false;
+    for (int j = static_cast<int>(rmpath.size()) - 1; j >= 1 && !extended;
+         --j) {
+      const DfsEdge e1 = (*code)[rmpath[j]];
+      const int32_t to_dfs = e1.from;
+      Label best_elabel = INT32_MAX;
+      for (size_t k = 0; k < embs.size(); ++k) {
+        const VertexId to_g = embs.map(k)[to_dfs];
+        for (const AdjEntry& adj : g.neighbors(embs.map(k)[maxtoc])) {
+          if (adj.to != to_g) continue;
+          if (embs.EdgeUsed(k, adj.edge_index)) continue;
+          // Canonical-growth legality (gSpan get_backward): the new
+          // backward edge must not precede the rmpath edge it closes on.
+          if (e1.edge_label < adj.label ||
+              (e1.edge_label == adj.label &&
+               e1.to_label <= rm_vertex_label)) {
+            best_elabel = std::min(best_elabel, adj.label);
+          }
+        }
+      }
+      if (best_elabel == INT32_MAX) continue;
+      if (!extend_agrees({maxtoc, to_dfs, rm_vertex_label, best_elabel,
+                          e1.from_label})) {
+        return false;
+      }
+      // Extend embeddings along the chosen backward edge.
+      for (size_t k = 0; k < embs.size(); ++k) {
+        const VertexId to_g = embs.map(k)[to_dfs];
+        for (const AdjEntry& adj : g.neighbors(embs.map(k)[maxtoc])) {
+          if (adj.to != to_g || adj.label != best_elabel) continue;
+          if (embs.EdgeUsed(k, adj.edge_index)) continue;
+          next.AddGrown(embs, k, adj.edge_index, -1, adj.to);
+        }
+      }
+      GS_CHECK(next.size() > 0);
+      swap(embs, next);
+      extended = true;
+    }
+    if (extended) continue;
+
+    // --- Forward extensions: largest 'from' wins (rightmost vertex
+    // first, then up the rightmost path), then smallest (elabel, tolabel).
+    struct FwdPick {
+      int32_t from_dfs;
+      Label from_label;
+      Label elabel;
+      Label tolabel;
+    };
+    std::optional<FwdPick> pick;
+
+    auto consider = [&](int32_t from_dfs, Label from_label, Label elabel,
+                        Label tolabel) {
+      if (!pick.has_value() ||
+          std::tie(elabel, tolabel) < std::tie(pick->elabel, pick->tolabel)) {
+        pick = FwdPick{from_dfs, from_label, elabel, tolabel};
+      }
+    };
+
+    // Pure forward from the rightmost vertex.
+    for (size_t k = 0; k < embs.size(); ++k) {
+      for (const AdjEntry& adj : g.neighbors(embs.map(k)[maxtoc])) {
+        if (embs.VertexUsed(k, adj.to)) continue;
+        if (g.vertex_label(adj.to) < min_label) continue;
+        consider(maxtoc, rm_vertex_label, adj.label, g.vertex_label(adj.to));
+      }
+    }
+    // Forward off the rightmost path, from rightmost-1 back to root,
+    // only if the rightmost vertex produced nothing.
+    for (size_t j = 0; j < rmpath.size() && !pick.has_value(); ++j) {
+      const DfsEdge e1 = (*code)[rmpath[j]];
+      for (size_t k = 0; k < embs.size(); ++k) {
+        for (const AdjEntry& adj : g.neighbors(embs.map(k)[e1.from])) {
+          if (embs.VertexUsed(k, adj.to)) continue;
+          const Label tolabel = g.vertex_label(adj.to);
+          if (tolabel < min_label) continue;
+          // Legality (gSpan get_forward_rmpath): the branch must not
+          // precede the rmpath edge it shares a source with.
+          if (e1.edge_label < adj.label ||
+              (e1.edge_label == adj.label && e1.to_label <= tolabel)) {
+            consider(e1.from, e1.from_label, adj.label, tolabel);
+          }
+        }
+      }
+    }
+    GS_CHECK(pick.has_value());  // connected graph must extend
+
+    const int32_t new_dfs = maxtoc + 1;
+    if (!extend_agrees({pick->from_dfs, new_dfs, pick->from_label,
+                        pick->elabel, pick->tolabel})) {
+      return false;
+    }
+    for (size_t k = 0; k < embs.size(); ++k) {
+      for (const AdjEntry& adj : g.neighbors(embs.map(k)[pick->from_dfs])) {
+        if (embs.VertexUsed(k, adj.to)) continue;
+        if (adj.label != pick->elabel) continue;
+        if (g.vertex_label(adj.to) != pick->tolabel) continue;
+        next.AddGrown(embs, k, adj.edge_index, new_dfs, adj.to);
+      }
+    }
+    GS_CHECK(next.size() > 0);
+    swap(embs, next);
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -95,169 +349,14 @@ DfsCode BuildMinDfsCode(const graph::Graph& g) {
     GS_CHECK_EQ(g.num_vertices(), 1);
     return code;  // single vertex: empty code
   }
-
-  // Seed with the minimal (from_label, edge_label, to_label) edge over all
-  // directed instances.
-  using Triple = std::tuple<graph::Label, graph::Label, graph::Label>;
-  Triple best{INT32_MAX, INT32_MAX, INT32_MAX};
-  for (const graph::EdgeRecord& e : g.edges()) {
-    Triple ab{g.vertex_label(e.u), e.label, g.vertex_label(e.v)};
-    Triple ba{g.vertex_label(e.v), e.label, g.vertex_label(e.u)};
-    best = std::min(best, std::min(ab, ba));
-  }
-  code.Push({0, 1, std::get<0>(best), std::get<1>(best), std::get<2>(best)});
-
-  std::vector<Emb> embs;
-  for (int32_t ei = 0; ei < g.num_edges(); ++ei) {
-    const graph::EdgeRecord& e = g.edge(ei);
-    for (int dir = 0; dir < 2; ++dir) {
-      graph::VertexId a = dir == 0 ? e.u : e.v;
-      graph::VertexId b = dir == 0 ? e.v : e.u;
-      if (Triple{g.vertex_label(a), e.label, g.vertex_label(b)} != best) {
-        continue;
-      }
-      Emb emb;
-      emb.dfs_to_g = {a, b};
-      emb.edge_used.assign(g.num_edges(), false);
-      emb.edge_used[ei] = true;
-      emb.vertex_used.assign(g.num_vertices(), false);
-      emb.vertex_used[a] = emb.vertex_used[b] = true;
-      embs.push_back(std::move(emb));
-    }
-  }
-  GS_CHECK(!embs.empty());
-
-  const graph::Label min_label = std::get<0>(best);
-
-  while (static_cast<int32_t>(code.size()) < g.num_edges()) {
-    std::vector<int> rmpath = code.BuildRmPath();
-    const int32_t maxtoc = code[rmpath[0]].to;  // rightmost vertex DFS id
-    const graph::Label rm_vertex_label = code[rmpath[0]].to_label;
-
-    // --- Backward extensions: smallest (to, edge_label) wins. Iterate
-    // rmpath from the root side so 'to' ascends; first hit is minimal in
-    // 'to', then take the minimal edge label for that 'to'.
-    bool extended = false;
-    for (int j = static_cast<int>(rmpath.size()) - 1; j >= 1 && !extended;
-         --j) {
-      const DfsEdge& e1 = code[rmpath[j]];
-      const int32_t to_dfs = e1.from;
-      graph::Label best_elabel = INT32_MAX;
-      for (const Emb& emb : embs) {
-        graph::VertexId rm_g = emb.dfs_to_g[maxtoc];
-        graph::VertexId to_g = emb.dfs_to_g[to_dfs];
-        for (const graph::AdjEntry& adj : g.neighbors(rm_g)) {
-          if (adj.to != to_g) continue;
-          if (emb.edge_used[adj.edge_index]) continue;
-          // Canonical-growth legality (gSpan get_backward): the new
-          // backward edge must not precede the rmpath edge it closes on.
-          if (e1.edge_label < adj.label ||
-              (e1.edge_label == adj.label &&
-               e1.to_label <= rm_vertex_label)) {
-            best_elabel = std::min(best_elabel, adj.label);
-          }
-        }
-      }
-      if (best_elabel == INT32_MAX) continue;
-      // Extend embeddings along the chosen backward edge.
-      std::vector<Emb> next;
-      for (const Emb& emb : embs) {
-        graph::VertexId rm_g = emb.dfs_to_g[maxtoc];
-        graph::VertexId to_g = emb.dfs_to_g[to_dfs];
-        for (const graph::AdjEntry& adj : g.neighbors(rm_g)) {
-          if (adj.to != to_g || adj.label != best_elabel) continue;
-          if (emb.edge_used[adj.edge_index]) continue;
-          Emb copy = emb;
-          copy.edge_used[adj.edge_index] = true;
-          next.push_back(std::move(copy));
-        }
-      }
-      GS_CHECK(!next.empty());
-      code.Push(
-          {maxtoc, to_dfs, rm_vertex_label, best_elabel, e1.from_label});
-      embs = std::move(next);
-      extended = true;
-    }
-    if (extended) continue;
-
-    // --- Forward extensions: largest 'from' wins (rightmost vertex
-    // first, then up the rightmost path), then smallest (elabel, tolabel).
-    struct FwdPick {
-      int32_t from_dfs;
-      graph::Label from_label;
-      graph::Label elabel;
-      graph::Label tolabel;
-    };
-    std::optional<FwdPick> pick;
-
-    auto consider = [&](int32_t from_dfs, graph::Label from_label,
-                        graph::Label elabel, graph::Label tolabel) {
-      if (!pick.has_value() ||
-          std::tie(elabel, tolabel) < std::tie(pick->elabel, pick->tolabel)) {
-        pick = FwdPick{from_dfs, from_label, elabel, tolabel};
-      }
-    };
-
-    // Pure forward from the rightmost vertex.
-    for (const Emb& emb : embs) {
-      graph::VertexId rm_g = emb.dfs_to_g[maxtoc];
-      for (const graph::AdjEntry& adj : g.neighbors(rm_g)) {
-        if (emb.vertex_used[adj.to]) continue;
-        if (g.vertex_label(adj.to) < min_label) continue;
-        consider(maxtoc, rm_vertex_label, adj.label,
-                 g.vertex_label(adj.to));
-      }
-    }
-    // Forward off the rightmost path, from rightmost-1 back to root,
-    // only if the rightmost vertex produced nothing.
-    if (!pick.has_value()) {
-      for (size_t j = 0; j < rmpath.size() && !pick.has_value(); ++j) {
-        const DfsEdge& e1 = code[rmpath[j]];
-        const int32_t from_dfs = e1.from;
-        for (const Emb& emb : embs) {
-          graph::VertexId from_g = emb.dfs_to_g[from_dfs];
-          for (const graph::AdjEntry& adj : g.neighbors(from_g)) {
-            if (emb.vertex_used[adj.to]) continue;
-            graph::Label tolabel = g.vertex_label(adj.to);
-            if (tolabel < min_label) continue;
-            // Legality (gSpan get_forward_rmpath): the branch must not
-            // precede the rmpath edge it shares a source with.
-            if (e1.edge_label < adj.label ||
-                (e1.edge_label == adj.label && e1.to_label <= tolabel)) {
-              consider(from_dfs, e1.from_label, adj.label, tolabel);
-            }
-          }
-        }
-      }
-    }
-    GS_CHECK(pick.has_value());  // connected graph must extend
-
-    const int32_t new_dfs = maxtoc + 1;
-    std::vector<Emb> next;
-    for (const Emb& emb : embs) {
-      graph::VertexId from_g = emb.dfs_to_g[pick->from_dfs];
-      for (const graph::AdjEntry& adj : g.neighbors(from_g)) {
-        if (emb.vertex_used[adj.to]) continue;
-        if (adj.label != pick->elabel) continue;
-        if (g.vertex_label(adj.to) != pick->tolabel) continue;
-        Emb copy = emb;
-        copy.edge_used[adj.edge_index] = true;
-        copy.vertex_used[adj.to] = true;
-        copy.dfs_to_g.push_back(adj.to);
-        next.push_back(std::move(copy));
-      }
-    }
-    GS_CHECK(!next.empty());
-    code.Push({pick->from_dfs, new_dfs, pick->from_label, pick->elabel,
-               pick->tolabel});
-    embs = std::move(next);
-  }
+  GrowMinDfsCode(g, nullptr, &code);
   return code;
 }
 
 bool IsMinimalDfsCode(const DfsCode& code) {
   if (code.empty()) return true;
-  return BuildMinDfsCode(code.ToGraph()) == code;
+  DfsCode min_code;
+  return GrowMinDfsCode(code.ToGraph(), &code, &min_code);
 }
 
 std::string CanonicalCode(const graph::Graph& g) {

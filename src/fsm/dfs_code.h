@@ -51,7 +51,8 @@ class DfsCode {
   std::vector<int> BuildRmPath() const;
 
   // Stable text form, e.g. "(0,1,6,1,6)(1,2,6,1,8)"; usable as a map key
-  // once the code is minimal.
+  // once the code is minimal. Its bytes order the dedup maps downstream,
+  // so the format is fixed.
   std::string ToString() const;
 
   friend bool operator==(const DfsCode& a, const DfsCode& b) = default;
@@ -65,10 +66,15 @@ class DfsCode {
 bool DfsEdgeLess(const DfsEdge& a, const DfsEdge& b);
 
 // Builds the minimal (canonical) DFS code of a connected graph. Aborts on
-// disconnected or empty input.
+// disconnected or empty input. The code is grown one edge at a time,
+// keeping the embeddings of the minimal prefix as flat DFS id -> vertex
+// maps plus used-edge/used-vertex bit masks of a width fixed per graph.
 DfsCode BuildMinDfsCode(const graph::Graph& g);
 
-// True iff `code` is its pattern's minimal DFS code.
+// True iff `code` is its pattern's minimal DFS code. Runs the same
+// growth as BuildMinDfsCode on code.ToGraph(), but returns false at the
+// first edge where the minimal code departs from `code`, so a
+// non-minimal code costs only the prefix the two share.
 bool IsMinimalDfsCode(const DfsCode& code);
 
 // Canonical string key of a connected graph: ToString() of its minimal

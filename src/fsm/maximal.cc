@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "graph/csr.h"
 #include "graph/isomorphism.h"
 
 namespace graphsig::fsm {
@@ -16,22 +17,32 @@ std::vector<Pattern> FilterMaximal(std::vector<Pattern> patterns) {
               }
               return a.graph.num_vertices() > b.graph.num_vertices();
             });
-  std::vector<Pattern> maximal;
-  for (const Pattern& p : patterns) {
+  // A pattern takes part in many containment checks: flatten each to CSR
+  // once.
+  std::vector<graph::CsrGraph> csrs;
+  csrs.reserve(patterns.size());
+  for (const Pattern& p : patterns) csrs.emplace_back(p.graph);
+  std::vector<size_t> kept;
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    const graph::Graph& p = patterns[i].graph;
     bool contained = false;
-    for (const Pattern& q : maximal) {
+    for (size_t k : kept) {
+      const graph::Graph& q = patterns[k].graph;
       const bool strictly_larger =
-          q.graph.num_edges() > p.graph.num_edges() ||
-          (q.graph.num_edges() == p.graph.num_edges() &&
-           q.graph.num_vertices() > p.graph.num_vertices());
+          q.num_edges() > p.num_edges() ||
+          (q.num_edges() == p.num_edges() &&
+           q.num_vertices() > p.num_vertices());
       if (!strictly_larger) continue;
-      if (graph::IsSubgraphIsomorphic(p.graph, q.graph)) {
+      if (graph::IsSubgraphIsomorphic(csrs[i], csrs[k])) {
         contained = true;
         break;
       }
     }
-    if (!contained) maximal.push_back(p);
+    if (!contained) kept.push_back(i);
   }
+  std::vector<Pattern> maximal;
+  maximal.reserve(kept.size());
+  for (size_t k : kept) maximal.push_back(std::move(patterns[k]));
   return maximal;
 }
 

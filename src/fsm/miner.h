@@ -41,7 +41,9 @@ struct MineResult {
   double seconds = 0.0;
   uint64_t states_expanded = 0;  // search states / candidates evaluated
   // gSpan only: bytes of embedding-chain scratch served by the task's
-  // arena (deterministic; 0 for the apriori miner).
+  // arena. Only extensions that reach min_support get embeddings, so
+  // this counts frequent children's embeddings (deterministic; 0 for the
+  // apriori miner).
   uint64_t embedding_arena_bytes = 0;
 };
 
@@ -50,7 +52,21 @@ struct MineResult {
 int64_t SupportFromPercent(double percent, size_t db_size);
 
 // Pattern-growth miner (gSpan: minimum DFS codes + rightmost-path
-// extension over projected embeddings).
+// extension over projected embeddings). Each search state scans its
+// embeddings once, in database order:
+//   * History: an embedding is expanded into one set of epoch-stamped
+//     used-edge/used-vertex buffers and a DFS id -> vertex map, reused
+//     by every embedding of the run (no per-embedding allocation).
+//   * Grouping: each extension instance goes into a flat buffer under
+//     its key's bucket; buckets are visited in DfsEdgeLess order (roots
+//     in label-triple order) and keep their instances in scan order.
+//   * Support before allocation: a key's support is its number of gid
+//     runs, counted during the scan; only keys reaching min_support get
+//     child embeddings in the arena.
+//   * Minimality: each frequent child is checked with the early-exit
+//     IsMinimalDfsCode before it is expanded or reported.
+// Patterns are reported in DFS-search order, which downstream unstable
+// sorts (FilterMaximal, the final ranking) make part of the output.
 MineResult MineFrequentGSpan(const graph::GraphDatabase& db,
                              const MinerConfig& config);
 

@@ -1,7 +1,6 @@
 #include "graph/isomorphism.h"
 
 #include <algorithm>
-#include <map>
 
 #include "graph/csr.h"
 #include "obs/metrics.h"
@@ -10,13 +9,13 @@
 namespace graphsig::graph {
 namespace {
 
-// Shared backtracking state for one (pattern, target) match run. Both
-// graphs are flattened to CSR up front so the inner feasibility /
-// candidate loops walk contiguous half-edge arrays (DESIGN.md §14); the
-// visit order, candidate order, and results are unchanged.
+// Shared backtracking state for one (pattern, target) match run over
+// borrowed CSRs, so the inner feasibility / candidate loops walk
+// contiguous half-edge arrays (DESIGN.md §14). Callers that match one
+// graph many times build its CSR once and pass it in.
 class Matcher {
  public:
-  Matcher(const Graph& pattern, const Graph& target, uint64_t limit)
+  Matcher(const CsrGraph& pattern, const CsrGraph& target, uint64_t limit)
       : pattern_(pattern),
         target_(target),
         limit_(limit),
@@ -56,12 +55,14 @@ class Matcher {
   // Disconnected patterns continue with a fresh rare seed per component.
   void BuildOrder() {
     const int n = pattern_.num_vertices();
-    std::map<Label, int> target_label_count;
-    for (Label l : target_.vertex_labels()) ++target_label_count[l];
-    auto rarity = [&](VertexId v) {
-      auto it = target_label_count.find(pattern_.vertex_label(v));
-      return it == target_label_count.end() ? 0 : it->second;
-    };
+    // Target vertices sharing each pattern vertex's label. Patterns are
+    // small, so a direct count beats building a label histogram per run.
+    std::vector<int> label_count(n, 0);
+    for (VertexId v = 0; v < n; ++v) {
+      const Label label = pattern_.vertex_label(v);
+      for (Label l : target_.vertex_labels()) label_count[v] += l == label;
+    }
+    auto rarity = [&](VertexId v) { return label_count[v]; };
 
     std::vector<bool> placed(n, false);
     order_.reserve(n);
@@ -160,8 +161,8 @@ class Matcher {
     target_used_[tv] = false;
   }
 
-  const CsrGraph pattern_;
-  const CsrGraph target_;
+  const CsrGraph& pattern_;
+  const CsrGraph& target_;
   const uint64_t limit_;
   std::vector<VertexId> order_;
   std::vector<VertexId> pattern_to_target_;
@@ -175,11 +176,17 @@ class Matcher {
 
 }  // namespace
 
-bool IsSubgraphIsomorphic(const Graph& pattern, const Graph& target) {
+bool IsSubgraphIsomorphic(const CsrGraph& pattern, const CsrGraph& target) {
   if (pattern.num_vertices() > target.num_vertices()) return false;
   if (pattern.num_edges() > target.num_edges()) return false;
   Matcher matcher(pattern, target, /*limit=*/1);
   return matcher.Run(nullptr) > 0;
+}
+
+bool IsSubgraphIsomorphic(const Graph& pattern, const Graph& target) {
+  if (pattern.num_vertices() > target.num_vertices()) return false;
+  if (pattern.num_edges() > target.num_edges()) return false;
+  return IsSubgraphIsomorphic(CsrGraph(pattern), CsrGraph(target));
 }
 
 std::optional<std::vector<VertexId>> FindEmbedding(const Graph& pattern,
@@ -187,7 +194,9 @@ std::optional<std::vector<VertexId>> FindEmbedding(const Graph& pattern,
   if (pattern.num_vertices() > target.num_vertices()) return std::nullopt;
   if (pattern.num_edges() > target.num_edges()) return std::nullopt;
   std::vector<VertexId> embedding;
-  Matcher matcher(pattern, target, /*limit=*/1);
+  const CsrGraph pattern_csr(pattern);
+  const CsrGraph target_csr(target);
+  Matcher matcher(pattern_csr, target_csr, /*limit=*/1);
   if (matcher.Run(&embedding) == 0) return std::nullopt;
   return embedding;
 }
@@ -196,7 +205,9 @@ uint64_t CountEmbeddings(const Graph& pattern, const Graph& target,
                          uint64_t limit) {
   if (pattern.num_vertices() > target.num_vertices()) return 0;
   if (pattern.num_edges() > target.num_edges()) return 0;
-  Matcher matcher(pattern, target, limit);
+  const CsrGraph pattern_csr(pattern);
+  const CsrGraph target_csr(target);
+  Matcher matcher(pattern_csr, target_csr, limit);
   return matcher.Run(nullptr);
 }
 
@@ -206,7 +217,9 @@ std::vector<std::vector<VertexId>> FindAllEmbeddings(const Graph& pattern,
   std::vector<std::vector<VertexId>> out;
   if (pattern.num_vertices() > target.num_vertices()) return out;
   if (pattern.num_edges() > target.num_edges()) return out;
-  Matcher matcher(pattern, target, limit);
+  const CsrGraph pattern_csr(pattern);
+  const CsrGraph target_csr(target);
+  Matcher matcher(pattern_csr, target_csr, limit);
   matcher.Run(nullptr, &out);
   return out;
 }

@@ -19,8 +19,14 @@ namespace graphsig::graph {
 // with label/degree feasibility pruning. Molecule-scale graphs (tens of
 // vertices) resolve in microseconds.
 
+class CsrGraph;
+
 // True iff `pattern` occurs in `target`. An empty pattern always matches.
+// The Graph overload flattens both graphs to CSR per call; the CsrGraph
+// overload borrows CSRs, for callers that match one graph many times
+// (db-frequency, the maximality filter).
 bool IsSubgraphIsomorphic(const Graph& pattern, const Graph& target);
+bool IsSubgraphIsomorphic(const CsrGraph& pattern, const CsrGraph& target);
 
 // One embedding if it exists: element k is the target vertex that pattern
 // vertex k maps to.

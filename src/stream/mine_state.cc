@@ -342,9 +342,10 @@ util::Result<MineState> DecodeMineState(std::string_view bytes) {
   ByteReader r(bytes, "mine state");
   uint32_t version;
   GS_RETURN_IF_ERROR(r.ReadU32(&version));
-  if (version == 0 || version > kMineStateVersion) {
+  if (version != kMineStateVersion) {
+    // An older checkpoint's work deltas would replay stale counts.
     return Status::FailedPrecondition(util::StrPrintf(
-        "mine-state version %u unsupported (max %u)", version,
+        "mine-state version %u unsupported (want %u)", version,
         kMineStateVersion));
   }
   MineState state;

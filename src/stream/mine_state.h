@@ -30,7 +30,14 @@
 
 namespace graphsig::stream {
 
-inline constexpr uint32_t kMineStateVersion = 1;
+// Checkpoints persist per-unit work-counter deltas, so they are only
+// valid for the build whose mining code produced them: a restored delta
+// replays the work counts of that code. Bump this whenever a change
+// alters what a unit counts (v2: CSR-sharing VF2 and support-before-
+// allocation gSpan changed graph/csr_builds and
+// gspan/embeddings_arena_bytes). DecodeMineState rejects every other
+// version as kFailedPrecondition, and Restore then starts cold.
+inline constexpr uint32_t kMineStateVersion = 2;
 
 // Cached graph-space mining of one feature-vector candidate (the
 // pipeline::MineRegionTask output for candidate `i` of a group).

@@ -263,5 +263,228 @@ TEST(GSpanTest, PatternsEmbedInSupportingGraphs) {
   }
 }
 
+// Maximal oracle: the brute-force frequent set minus every pattern
+// contained in a strictly larger frequent pattern, compared with
+// MineMaximalGSpan by canonical code and support.
+class MaximalOracleTest
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(MaximalOracleTest, MatchesBruteForceMaximalSet) {
+  const int seed = std::get<0>(GetParam());
+  const int64_t min_support = std::get<1>(GetParam());
+  GraphDatabase db = RandomDatabase(6000 + seed, 8, 6, 2, 2, 2);
+  const int kMaxEdges = 4;
+  std::map<std::string, int64_t> frequent =
+      BruteForceFrequent(db, min_support, kMaxEdges);
+  // Recover one graph per frequent class from gSpan's complete output
+  // (its agreement with brute force is MinerAgreementTest's job).
+  MinerConfig config;
+  config.min_support = min_support;
+  config.max_edges = kMaxEdges;
+  std::map<std::string, Graph> graphs;
+  for (const Pattern& p : MineFrequentGSpan(db, config).patterns) {
+    graphs.emplace(CanonicalCode(p.graph), p.graph);
+  }
+  ASSERT_EQ(graphs.size(), frequent.size());
+
+  std::map<std::string, int64_t> expected;
+  for (const auto& [key, support] : frequent) {
+    const Graph& p = graphs.at(key);
+    bool contained = false;
+    for (const auto& [other_key, q] : graphs) {
+      if (q.num_edges() > p.num_edges() &&
+          graph::IsSubgraphIsomorphic(p, q)) {
+        contained = true;
+        break;
+      }
+    }
+    if (!contained) expected.emplace(key, support);
+  }
+  EXPECT_EQ(ToCanonicalMap(MineMaximalGSpan(db, config)), expected);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, MaximalOracleTest,
+                         ::testing::Combine(::testing::Range(0, 10),
+                                            ::testing::Values(2, 3, 5)));
+
+// FNV-1a over the full output sequence: pattern graphs, supports and
+// supporting lists, in emission order.
+uint64_t HashMineOutput(const MineResult& result) {
+  std::string bytes;
+  for (const Pattern& p : result.patterns) {
+    bytes += p.graph.ToString();
+    bytes += "support " + std::to_string(p.support) + " in";
+    for (int32_t gid : p.supporting) bytes += " " + std::to_string(gid);
+    bytes += "\n";
+  }
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// Downstream stages sort mined patterns with unstable std::sort, so the
+// emission order is part of the artifact. These hashes pin the order of
+// the reference implementation on seeded databases with cycles and
+// repeated labels.
+TEST(GSpanTest, EmissionOrderIsPinned) {
+  const uint64_t kExpected[10] = {
+      0x419908160455802full, 0x61d98489200762a8ull, 0x76bf789181e61414ull,
+      0x29be7a39eb22fef9ull, 0xe737bd6c2e28b23bull, 0x9bcb2443c86c0a0full,
+      0xf39e071a95ae1892ull, 0xc2109850b05ab7d9ull, 0xfcd68802e901bfcbull,
+      0xe468d9252fbd9cdfull,
+  };
+  for (int seed = 0; seed < 10; ++seed) {
+    GraphDatabase db = RandomDatabase(8000 + seed, 10, 8 + seed % 3,
+                                      3 + seed % 4, 2 + seed % 3, 2);
+    MinerConfig config;
+    config.min_support = 2 + seed % 3;
+    config.max_edges = 6;
+    const MineResult result = MineFrequentGSpan(db, config);
+    EXPECT_FALSE(result.patterns.empty()) << "seed " << seed;
+    EXPECT_EQ(HashMineOutput(result), kExpected[seed])
+        << "seed " << seed << ": 0x" << std::hex << HashMineOutput(result);
+  }
+}
+
+// The early-exit is-min check must agree with building the full minimum
+// code, on every code gSpan can visit: each mined pattern's minimum code
+// and all of its rightmost extensions over the database's labels.
+TEST(GSpanTest, IsMinimalAgreesOnVisitedCodes) {
+  for (int seed = 0; seed < 5; ++seed) {
+    GraphDatabase db = RandomDatabase(8100 + seed, 8, 7, 3, 3, 2);
+    MinerConfig config;
+    config.min_support = 2;
+    config.max_edges = 5;
+    int checked = 0;
+    int minimal = 0;
+    for (const Pattern& p : MineFrequentGSpan(db, config).patterns) {
+      const DfsCode base = BuildMinDfsCode(p.graph);
+      std::vector<DfsCode> codes = {base};
+      const std::vector<int> rmpath = base.BuildRmPath();
+      const int32_t maxtoc = base[rmpath[0]].to;
+      const Graph g = base.ToGraph();
+      for (Label el = 0; el < 2; ++el) {
+        // Backward edges from the rightmost vertex onto the rmpath.
+        for (size_t j = 1; j < rmpath.size(); ++j) {
+          const DfsEdge& e1 = base[rmpath[j]];
+          if (g.HasEdge(maxtoc, e1.from)) continue;
+          DfsCode c = base;
+          c.Push({maxtoc, e1.from, g.vertex_label(maxtoc), el,
+                  e1.from_label});
+          codes.push_back(c);
+        }
+        // Forward edges off every rmpath vertex.
+        for (Label tl = 0; tl < 3; ++tl) {
+          std::vector<int32_t> sources = {maxtoc};
+          for (int idx : rmpath) sources.push_back(base[idx].from);
+          for (int32_t from : sources) {
+            DfsCode c = base;
+            c.Push({from, maxtoc + 1, g.vertex_label(from), el, tl});
+            codes.push_back(c);
+          }
+        }
+      }
+      for (const DfsCode& c : codes) {
+        const bool full = BuildMinDfsCode(c.ToGraph()) == c;
+        EXPECT_EQ(IsMinimalDfsCode(c), full) << c.ToString();
+        ++checked;
+        minimal += full;
+      }
+    }
+    EXPECT_GT(checked, 50) << "seed " << seed;
+    EXPECT_GT(minimal, 0) << "seed " << seed;
+    EXPECT_LT(minimal, checked) << "seed " << seed;
+  }
+}
+
+// A random DFS code of `g`: DFS from a random vertex over randomly
+// ordered neighbors, each discovered vertex listing its backward edges
+// (to earlier DFS ids, ascending) before its forward edges.
+DfsCode RandomDfsCode(const Graph& g, util::Rng* rng) {
+  std::vector<int32_t> dfs_id(g.num_vertices(), -1);
+  std::vector<bool> edge_done(g.num_edges(), false);
+  DfsCode code;
+  int32_t next_id = 0;
+  auto visit = [&](auto&& self, VertexId v) -> void {
+    std::vector<graph::AdjEntry> back;
+    for (const graph::AdjEntry& adj : g.neighbors(v)) {
+      if (dfs_id[adj.to] >= 0 && !edge_done[adj.edge_index]) {
+        back.push_back(adj);
+      }
+    }
+    std::sort(back.begin(), back.end(),
+              [&](const graph::AdjEntry& a, const graph::AdjEntry& b) {
+                return dfs_id[a.to] < dfs_id[b.to];
+              });
+    for (const graph::AdjEntry& adj : back) {
+      edge_done[adj.edge_index] = true;
+      code.Push({dfs_id[v], dfs_id[adj.to], g.vertex_label(v), adj.label,
+                 g.vertex_label(adj.to)});
+    }
+    std::vector<graph::AdjEntry> order = g.neighbors(v);
+    rng->Shuffle(&order);
+    for (const graph::AdjEntry& adj : order) {
+      if (dfs_id[adj.to] >= 0) continue;
+      dfs_id[adj.to] = next_id++;
+      edge_done[adj.edge_index] = true;
+      code.Push({dfs_id[v], dfs_id[adj.to], g.vertex_label(v), adj.label,
+                 g.vertex_label(adj.to)});
+      self(self, adj.to);
+    }
+  };
+  const VertexId root =
+      static_cast<VertexId>(rng->NextBounded(g.num_vertices()));
+  dfs_id[root] = next_id++;
+  visit(visit, root);
+  return code;
+}
+
+// ... and on perturbed codes: random DFS traversals of random connected
+// graphs (rarely minimal), plus minimum codes with one vertex or edge
+// label changed (sometimes minimal, sometimes not).
+TEST(GSpanTest, IsMinimalAgreesOnPerturbedCodes) {
+  util::Rng rng(8200);
+  int minimal = 0;
+  int checked = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    GraphDatabase one = RandomDatabase(8300 + trial, 1, 4 + trial % 6,
+                                       trial % 4, 2 + trial % 2, 2);
+    const Graph& g = one.graph(0);
+    std::vector<DfsCode> codes;
+    for (int k = 0; k < 4; ++k) codes.push_back(RandomDfsCode(g, &rng));
+    const DfsCode min_code = BuildMinDfsCode(g);
+    for (int k = 0; k < 4; ++k) {
+      std::vector<DfsEdge> edges = min_code.edges();
+      if (k % 2 == 0) {
+        const int32_t v =
+            static_cast<int32_t>(rng.NextBounded(min_code.NumVertices()));
+        const Label l = static_cast<Label>(rng.NextBounded(3));
+        for (DfsEdge& e : edges) {
+          if (e.from == v) e.from_label = l;
+          if (e.to == v) e.to_label = l;
+        }
+      } else {
+        edges[rng.NextBounded(edges.size())].edge_label =
+            static_cast<Label>(rng.NextBounded(2));
+      }
+      DfsCode c;
+      for (const DfsEdge& e : edges) c.Push(e);
+      codes.push_back(c);
+    }
+    for (const DfsCode& c : codes) {
+      ASSERT_EQ(static_cast<int32_t>(c.size()), g.num_edges());
+      const bool full = BuildMinDfsCode(c.ToGraph()) == c;
+      EXPECT_EQ(IsMinimalDfsCode(c), full) << c.ToString();
+      ++checked;
+      minimal += full;
+    }
+  }
+  EXPECT_GT(minimal, 20);
+  EXPECT_LT(minimal, checked - 20);
+}
+
 }  // namespace
 }  // namespace graphsig::fsm

@@ -324,6 +324,54 @@ void CheckIncrementalMatchesCold(int num_threads, size_t num_batches) {
   EXPECT_EQ(inc_counters, cold_counters);
 }
 
+// Checkpoints carry per-unit work deltas of the build that wrote them.
+// One stamped with an older (or unknown) version must not be replayed:
+// Restore starts cold, and the mine still equals a cold mine, artifact
+// and counters both.
+TEST(MineStateTest, OtherVersionCheckpointStartsCold) {
+  const graph::GraphDatabase db = SmallScreen(20, 11);
+  const core::GraphSigConfig config = SmallConfig(2);
+  graph::GraphDatabase cumulative;
+  std::vector<uint64_t> generations;
+  for (size_t i = 0; i < db.size() / 2; ++i) {
+    cumulative.Add(db.graph(i));
+    generations.push_back(1);
+  }
+  IncrementalMiner miner(config);
+  miner.Mine(cumulative, generations, 1);
+  const std::string checkpoint = miner.Checkpoint();
+
+  auto restamp = [&](uint32_t version) {
+    util::ByteWriter w;
+    w.WriteU32(version);
+    return w.buffer() + checkpoint.substr(w.buffer().size());
+  };
+  ASSERT_EQ(restamp(kMineStateVersion), checkpoint);
+  auto newer = IncrementalMiner(config).Restore(restamp(kMineStateVersion + 1));
+  ASSERT_TRUE(newer.ok()) << newer.status().ToString();
+  EXPECT_FALSE(newer.value());
+
+  IncrementalMiner stale(config);
+  auto ok = stale.Restore(restamp(1));
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  ASSERT_FALSE(ok.value());
+  for (size_t i = db.size() / 2; i < db.size(); ++i) {
+    cumulative.Add(db.graph(i));
+    generations.push_back(2);
+  }
+  obs::MetricsRegistry::Global().Reset();
+  core::GraphSigResult incremental = stale.Mine(cumulative, generations, 2);
+  const auto inc_counters = NonStreamWorkValues();
+
+  obs::MetricsRegistry::Global().Reset();
+  core::GraphSigResult full = core::GraphSig(config).Mine(db);
+  const auto cold_counters = NonStreamWorkValues();
+
+  EXPECT_EQ(ArtifactBytes(std::move(incremental), db),
+            ArtifactBytes(std::move(full), db));
+  EXPECT_EQ(inc_counters, cold_counters);
+}
+
 TEST(IncrementalMineTest, MatchesColdMineSingleThread) {
   CheckIncrementalMatchesCold(1, 1);
   CheckIncrementalMatchesCold(1, 2);
