@@ -83,8 +83,10 @@ int main(int argc, char** argv) {
   }
 
   // artifact: a full valid artifact (database + feature space + small
-  // catalog, no classifier) and a minimal empty one. Valid CRCs let the
-  // fuzzer's mutations reach the section decoders.
+  // catalog, no classifier), a minimal empty one, and one whose
+  // classifier section decode must reject (a vector wider than the
+  // feature space). Valid CRCs let the fuzzer's mutations reach the
+  // section decoders.
   {
     graphsig::model::ModelArtifact artifact;
     artifact.database = db;
@@ -100,6 +102,13 @@ int main(int argc, char** argv) {
     sg.set_support = 2;
     artifact.catalog.push_back(sg);
     WriteFileOrDie(root / "artifact" / "artifact_small.gsig",
+                   graphsig::model::EncodeArtifact(artifact));
+
+    graphsig::classify::SigKnnModel& knn = artifact.classifier;
+    knn.space = artifact.feature_space;
+    knn.positive = {graphsig::features::FeatureVec(knn.space.size(), 1)};
+    knn.negative = {graphsig::features::FeatureVec(knn.space.size() + 1, 0)};
+    WriteFileOrDie(root / "artifact" / "artifact_bad_classifier.gsig",
                    graphsig::model::EncodeArtifact(artifact));
   }
   {

@@ -3,8 +3,9 @@
 # number this produces and compares is a deterministic work counter
 # (src/obs): wall-clock never enters the gate, so it holds on slow,
 # noisy, single-core runners. Counters can stay equal while output bytes
-# change, so the phase-1 mine CSV and the phase-2 model artifact are
-# also pinned by md5 (bench/baselines/output_md5.txt).
+# change, so the phase-1 mine CSV, the phase-2 model artifact and the
+# phase-2 query CSV are also pinned by md5
+# (bench/baselines/output_md5.txt).
 #
 #   bench_regression.sh <build-dir>             # compare to baseline
 #   bench_regression.sh <build-dir> --refresh   # rewrite the baselines
@@ -77,6 +78,12 @@ trap cleanup EXIT
 # --- Phase 2: serve the indexed model, replay a seeded query load -----
 "$BUILD/tools/graphsig_index" --input="$WORK/screen.smi" \
   --output="$WORK/model.gsig" --radius=4 --threads=2 >/dev/null
+
+# The served answers themselves (matches and k-NN scores) are pinned by
+# md5 below: loadgen --verify-model only compares the server against
+# the same binary's in-process query, so it cannot see a scoring change.
+"$BUILD/tools/graphsig_query" --model="$WORK/model.gsig" \
+  --input="$WORK/screen.smi" --csv="$WORK/query.csv" >/dev/null
 
 # --max-inflight far above the offered load: RETRY_LATER must never
 # fire, or the served-request counters would depend on timing.
@@ -174,7 +181,7 @@ fi
 
 # --- Phase 4: gate on the output bytes ---------------------------------
 if [ "$MODE" = "--refresh" ]; then
-  (cd "$WORK" && md5sum mine.csv model.gsig) >"$OUTPUT_MD5"
+  (cd "$WORK" && md5sum mine.csv model.gsig query.csv) >"$OUTPUT_MD5"
   echo "bench_regression: wrote $OUTPUT_MD5"
 elif ! (cd "$WORK" && md5sum --check --quiet "$OUTPUT_MD5"); then
   echo "bench_regression: output bytes differ from $OUTPUT_MD5" >&2

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <queue>
 
@@ -9,6 +10,27 @@
 #include "util/check.h"
 
 namespace graphsig::classify {
+namespace {
+
+int32_t SlotSum(const features::FeatureVec& v) {
+  int32_t sum = 0;
+  for (int16_t x : v) sum += x;
+  return sum;
+}
+
+// Bit s % 64 is set for every nonzero slot s. v ⊆ x needs each nonzero
+// slot of v to be nonzero in x, so SupportMask(v) & ~SupportMask(x) != 0
+// rules v out (folding slots 64+ onto low bits only lets more rows
+// through to the exact test).
+uint64_t SupportMask(const features::FeatureVec& v) {
+  uint64_t mask = 0;
+  for (size_t s = 0; s < v.size(); ++s) {
+    if (v[s] != 0) mask |= 1ull << (s % 64);
+  }
+  return mask;
+}
+
+}  // namespace
 
 double MinDistToSubVector(const features::FeatureVec& x,
                           const std::vector<features::FeatureVec>& set) {
@@ -50,8 +72,8 @@ void GraphSigClassifier::Train(const graph::GraphDatabase& training) {
        miner.MineSignificantVectors(negatives, nullptr, &space_)) {
     negative_.push_back(sv.vector);
   }
-  positive_index_ = BuildIndex(positive_);
-  negative_index_ = BuildIndex(negative_);
+  positive_index_ = BuildIndex(positive_, space_.size());
+  negative_index_ = BuildIndex(negative_, space_.size());
 }
 
 SigKnnModel GraphSigClassifier::ExportModel() const {
@@ -75,49 +97,49 @@ GraphSigClassifier GraphSigClassifier::FromModel(const SigKnnModel& model) {
   classifier.space_ = model.space;
   classifier.positive_ = model.positive;
   classifier.negative_ = model.negative;
-  classifier.positive_index_ = BuildIndex(model.positive);
-  classifier.negative_index_ = BuildIndex(model.negative);
+  classifier.positive_index_ =
+      BuildIndex(model.positive, model.space.size());
+  classifier.negative_index_ =
+      BuildIndex(model.negative, model.space.size());
   return classifier;
 }
 
 GraphSigClassifier::VectorIndex GraphSigClassifier::BuildIndex(
-    std::vector<features::FeatureVec> vectors) {
+    std::vector<features::FeatureVec> vectors, size_t width) {
   std::sort(vectors.begin(), vectors.end());
   vectors.erase(std::unique(vectors.begin(), vectors.end()), vectors.end());
   std::stable_sort(vectors.begin(), vectors.end(),
                    [](const features::FeatureVec& a,
                       const features::FeatureVec& b) {
-                     int32_t sa = 0, sb = 0;
-                     for (int16_t v : a) sa += v;
-                     for (int16_t v : b) sb += v;
-                     return sa > sb;
+                     return SlotSum(a) > SlotSum(b);
                    });
   VectorIndex index;
+  index.vectors = features::PackedVectorSet(width);
+  index.vectors.Reserve(vectors.size());
   index.sums.reserve(vectors.size());
+  index.supports.reserve(vectors.size());
   for (const features::FeatureVec& v : vectors) {
-    int32_t sum = 0;
-    for (int16_t x : v) sum += x;
-    index.sums.push_back(sum);
+    index.vectors.Add(v);
+    index.sums.push_back(SlotSum(v));
+    index.supports.push_back(SupportMask(v));
   }
-  index.vectors = std::move(vectors);
   return index;
 }
 
-double GraphSigClassifier::MinDistIndexed(const features::FeatureVec& x,
+double GraphSigClassifier::MinDistIndexed(const PackedQuery& x,
                                           const VectorIndex& index) {
-  int32_t x_sum = 0;
-  for (int16_t v : x) x_sum += v;
-  for (size_t i = 0; i < index.vectors.size(); ++i) {
-    if (index.sums[i] > x_sum) continue;  // cannot be a sub-vector
-    const features::FeatureVec& v = index.vectors[i];
-    bool sub = true;
-    for (size_t s = 0; s < v.size(); ++s) {
-      if (v[s] > x[s]) {
-        sub = false;
-        break;
-      }
-    }
-    if (sub) return static_cast<double>(x_sum - index.sums[i]);
+  const size_t words = index.vectors.words_per_vector();
+  const size_t n = index.sums.size();
+  // Rows with a larger sum cannot be sub-vectors of x.
+  size_t i = std::lower_bound(index.sums.begin(), index.sums.end(), x.sum,
+                              std::greater<int32_t>()) -
+             index.sums.begin();
+  for (; i < n; ++i) {
+    if ((index.supports[i] & ~x.support) != 0) continue;
+    const uint64_t* v = index.vectors.row(static_cast<int32_t>(i));
+    size_t w = 0;
+    while (w < words && features::PackedGtMask(v[w], x.words[w]) == 0) ++w;
+    if (w == words) return static_cast<double>(x.sum - index.sums[i]);
   }
   return std::numeric_limits<double>::infinity();
 }
@@ -126,13 +148,20 @@ double GraphSigClassifier::Score(const graph::Graph& query) const {
   GS_CHECK_GT(space_.size(), 0u);  // must be trained
   auto node_vectors = features::GraphToVectors(query, /*graph_index=*/-1,
                                                space_, config_.mining.rwr);
+  // Pack every node vector once; both class scans read the same words.
+  features::PackedVectorSet packed(space_.size());
+  packed.Reserve(node_vectors.size());
+  for (const features::NodeVector& nv : node_vectors) packed.Add(nv.values);
   // Keep the k globally smallest (distance, class) pairs (Algorithm 3's
   // priority queue): a max-heap holding at most k entries.
   using Entry = std::pair<double, int>;  // distance, +1 / -1
   std::priority_queue<Entry> heap;
-  for (const features::NodeVector& nv : node_vectors) {
-    const double pos_dist = MinDistIndexed(nv.values, positive_index_);
-    const double neg_dist = MinDistIndexed(nv.values, negative_index_);
+  for (size_t n = 0; n < node_vectors.size(); ++n) {
+    const features::FeatureVec& values = node_vectors[n].values;
+    const PackedQuery x{packed.row(static_cast<int32_t>(n)), SlotSum(values),
+                        SupportMask(values)};
+    const double pos_dist = MinDistIndexed(x, positive_index_);
+    const double neg_dist = MinDistIndexed(x, negative_index_);
     if (std::isinf(pos_dist) && std::isinf(neg_dist)) continue;
     Entry entry = neg_dist < pos_dist ? Entry{neg_dist, -1}
                                       : Entry{pos_dist, +1};

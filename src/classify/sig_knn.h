@@ -1,18 +1,22 @@
 #ifndef GRAPHSIG_CLASSIFY_SIG_KNN_H_
 #define GRAPHSIG_CLASSIFY_SIG_KNN_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "classify/classifier.h"
 #include "core/graphsig.h"
 #include "features/feature_space.h"
 #include "features/feature_vector.h"
+#include "features/packed_vector_set.h"
 
 namespace graphsig::classify {
 
 // Algorithm 4: distance from vector x to the closest sub-feature vector
 // in `set`. A member v contributes sum_i (x_i - v_i) if v ⊆ x, else
-// infinity. Returns infinity when no member is a sub-vector of x.
+// infinity. Returns infinity when no member is a sub-vector of x. This
+// is the scalar reference: GraphSigClassifier::Score scans a packed
+// index instead, and tests check the two agree bit for bit.
 double MinDistToSubVector(const features::FeatureVec& x,
                           const std::vector<features::FeatureVec>& set);
 
@@ -71,16 +75,35 @@ class GraphSigClassifier : public GraphClassifier {
   }
 
  private:
-  // Distinct vectors sorted by slot-sum descending plus their sums. For
-  // any sub-vector v of x, dist(x, v) = sum(x) - sum(v), so the first
-  // sub-vector found in descending-sum order is the closest — the scan
-  // exits early instead of touching every training vector.
+  // Distinct vectors sorted by slot-sum descending, packed 16 four-bit
+  // slots per word (features::PackedVectorSet, DESIGN.md §14), with
+  // each row's slot sum and support mask. For any sub-vector v of x,
+  // dist(x, v) = sum(x) - sum(v), so the first sub-vector found in
+  // descending-sum order is the closest. A scan binary-searches past the
+  // rows whose sum exceeds sum(x) (they cannot be sub-vectors), rejects
+  // a row whose support mask has a bit outside x's, tests "v ⊆ x" word
+  // by word with PackedGtMask, and exits at the first hit.
+  //
+  // Packing needs every slot in [0, kPackedMaxSlotValue = 15]. Slots lie
+  // in [0, rwr.bins]: query vectors by Discretize, stored vectors because
+  // model::DecodeArtifact rejects a classifier whose bins lie outside
+  // [1, 15] or whose vectors are not space.size() slots wide with slots
+  // in [0, bins].
   struct VectorIndex {
-    std::vector<features::FeatureVec> vectors;  // sum-descending
-    std::vector<int32_t> sums;
+    features::PackedVectorSet vectors;  // rows sum-descending
+    std::vector<int32_t> sums;          // slot sum of each row
+    std::vector<uint64_t> supports;     // SupportMask of each row
   };
-  static VectorIndex BuildIndex(std::vector<features::FeatureVec> vectors);
-  static double MinDistIndexed(const features::FeatureVec& x,
+  // One query node vector as a scan reads it.
+  struct PackedQuery {
+    const uint64_t* words = nullptr;  // words_per_vector() packed words
+    int32_t sum = 0;
+    uint64_t support = 0;
+  };
+  static VectorIndex BuildIndex(std::vector<features::FeatureVec> vectors,
+                                size_t width);
+  // Algorithm 4 over an index; bit-identical to MinDistToSubVector.
+  static double MinDistIndexed(const PackedQuery& x,
                                const VectorIndex& index);
 
   SigKnnConfig config_;

@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "features/packed_vector_set.h"
 #include "graph/serialize.h"
 #include "util/binary.h"
 #include "util/strings.h"
@@ -177,6 +178,30 @@ Status DecodeVectorSet(ByteReader* r,
   return Status::Ok();
 }
 
+// The served k-NN index packs each slot into a 4-bit lane (DESIGN.md
+// §14) and compares it against query slots in [0, bins], so every
+// stored vector must be space-wide with slots in [0, bins].
+Status ValidateClassVectors(const std::vector<features::FeatureVec>& set,
+                            const char* cls, size_t width, int32_t bins) {
+  for (size_t i = 0; i < set.size(); ++i) {
+    if (set[i].size() != width) {
+      return Status::ParseError(util::StrPrintf(
+          "classifier section: %s vector %zu has %zu slots, feature space "
+          "has %zu",
+          cls, i, set[i].size(), width));
+    }
+    for (int16_t v : set[i]) {
+      if (v < 0 || v > bins) {
+        return Status::ParseError(util::StrPrintf(
+            "classifier section: %s vector %zu has slot value %d outside "
+            "[0, %d]",
+            cls, i, v, bins));
+      }
+    }
+  }
+  return Status::Ok();
+}
+
 Status DecodeClassifier(ByteReader* r, classify::SigKnnModel* out) {
   uint8_t present;
   GS_RETURN_IF_ERROR(r->ReadU8(&present));
@@ -195,6 +220,11 @@ Status DecodeClassifier(ByteReader* r, classify::SigKnnModel* out) {
   GS_RETURN_IF_ERROR(r->ReadF64(&model.rwr.epsilon));
   GS_RETURN_IF_ERROR(r->ReadI32(&model.rwr.max_iterations));
   GS_RETURN_IF_ERROR(r->ReadI32(&model.rwr.bins));
+  if (model.rwr.bins < 1 || model.rwr.bins > features::kPackedMaxSlotValue) {
+    return Status::ParseError(util::StrPrintf(
+        "classifier section: rwr bins %d outside [1, %d]", model.rwr.bins,
+        features::kPackedMaxSlotValue));
+  }
   GS_RETURN_IF_ERROR(r->ReadI32(&model.rwr.radius));
   uint8_t featurizer;
   GS_RETURN_IF_ERROR(r->ReadU8(&featurizer));
@@ -208,6 +238,10 @@ Status DecodeClassifier(ByteReader* r, classify::SigKnnModel* out) {
   }
   GS_RETURN_IF_ERROR(DecodeVectorSet(r, &model.positive));
   GS_RETURN_IF_ERROR(DecodeVectorSet(r, &model.negative));
+  GS_RETURN_IF_ERROR(ValidateClassVectors(
+      model.positive, "positive", model.space.size(), model.rwr.bins));
+  GS_RETURN_IF_ERROR(ValidateClassVectors(
+      model.negative, "negative", model.space.size(), model.rwr.bins));
   *out = std::move(model);
   return Status::Ok();
 }

@@ -114,6 +114,7 @@ util::Result<PatternCatalog> PatternCatalog::FromArtifact(
   };
 
   catalog.signatures_.reserve(catalog.artifact_.catalog.size());
+  catalog.pattern_csrs_.reserve(catalog.artifact_.catalog.size());
   for (size_t i = 0; i < catalog.artifact_.catalog.size(); ++i) {
     const graph::Graph& pattern = catalog.artifact_.catalog[i].subgraph;
     if (pattern.num_vertices() == 0) {
@@ -121,6 +122,7 @@ util::Result<PatternCatalog> PatternCatalog::FromArtifact(
           "catalog contains an empty pattern graph");
     }
     catalog.signatures_.push_back(BuildSignature(pattern));
+    catalog.pattern_csrs_.emplace_back(pattern);
     graph::Label anchor = pattern.vertex_label(0);
     for (graph::VertexId v = 1; v < pattern.num_vertices(); ++v) {
       const graph::Label label = pattern.vertex_label(v);
@@ -144,6 +146,12 @@ util::Result<PatternCatalog> PatternCatalog::LoadFromFile(
 PatternCatalog::AnchorMatches PatternCatalog::MatchAnchors(
     const graph::Graph& query, const QueryProfile& profile,
     const std::map<graph::Label, std::vector<int32_t>>& anchors) const {
+  return MatchAnchors(graph::CsrGraph(query), profile, anchors);
+}
+
+PatternCatalog::AnchorMatches PatternCatalog::MatchAnchors(
+    const graph::CsrGraph& query, const QueryProfile& profile,
+    const std::map<graph::Label, std::vector<int32_t>>& anchors) const {
   AnchorMatches out;
   for (const auto& [label, _] : profile.degrees_by_label) {
     auto it = anchors.find(label);
@@ -151,8 +159,7 @@ PatternCatalog::AnchorMatches PatternCatalog::MatchAnchors(
     for (int32_t pattern_id : it->second) {
       if (!SignatureDominated(signatures_[pattern_id], profile)) continue;
       ++out.iso_calls;
-      if (graph::IsSubgraphIsomorphic(artifact_.catalog[pattern_id].subgraph,
-                                      query)) {
+      if (graph::IsSubgraphIsomorphic(pattern_csrs_[pattern_id], query)) {
         out.matched_patterns.push_back(pattern_id);
       }
     }
@@ -166,7 +173,8 @@ QueryResult PatternCatalog::Query(const graph::Graph& query,
   QueryResult result;
   if (config.compute_matches && !signatures_.empty()) {
     const QueryProfile profile = BuildProfile(query);
-    AnchorMatches matches = MatchAnchors(query, profile, patterns_by_anchor_);
+    AnchorMatches matches =
+        MatchAnchors(graph::CsrGraph(query), profile, patterns_by_anchor_);
     result.matched_patterns = std::move(matches.matched_patterns);
     result.iso_calls = matches.iso_calls;
     // Patterns whose anchor label the query lacks count as pruned too:

@@ -26,6 +26,7 @@
 
 #include "approx/estimators.h"
 #include "classify/sig_knn.h"
+#include "graph/csr.h"
 #include "graph/graph.h"
 #include "model/artifact.h"
 #include "util/status.h"
@@ -157,8 +158,14 @@ class PatternCatalog {
 
   // Runs the index/signature/isomorphism cascade for the patterns in
   // `anchors` only (any subset of patterns_by_anchor(), e.g. one
-  // ShardedCatalog shard). Pure — no counters, no stats; callers
+  // ShardedCatalog shard). VF2 borrows `query` and the catalog-owned
+  // pattern CSRs, so a caller flattens the query once and shares it
+  // across slices. Bumps no serve counters and no stats; callers
   // aggregate and flush. Thread-safe.
+  AnchorMatches MatchAnchors(
+      const graph::CsrGraph& query, const QueryProfile& profile,
+      const std::map<graph::Label, std::vector<int32_t>>& anchors) const;
+  // Same, flattening `query` first (one graph/csr_builds per call).
   AnchorMatches MatchAnchors(
       const graph::Graph& query, const QueryProfile& profile,
       const std::map<graph::Label, std::vector<int32_t>>& anchors) const;
@@ -256,6 +263,9 @@ class PatternCatalog {
   model::ModelArtifact artifact_;
   classify::GraphSigClassifier classifier_;
   std::vector<PatternSignature> signatures_;
+  // pattern_csrs_[i] is catalog()[i]'s adjacency, built once at load so
+  // VF2 never re-flattens a pattern per query.
+  std::vector<graph::CsrGraph> pattern_csrs_;
   // Inverted index: anchor label (the pattern's rarest vertex label in
   // the indexed database) -> catalog indices, ascending.
   std::map<graph::Label, std::vector<int32_t>> patterns_by_anchor_;

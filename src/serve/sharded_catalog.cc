@@ -58,12 +58,15 @@ QueryResult ShardedCatalog::Query(const graph::Graph& query,
   if (config.compute_matches && catalog_->num_patterns() > 0) {
     const PatternCatalog::QueryProfile profile =
         PatternCatalog::BuildProfile(query);
+    // One CSR per query, shared read-only by every shard slice, so
+    // graph/csr_builds does not depend on the shard count.
+    const graph::CsrGraph query_csr(query);
     // Slot-owned slices: shard s writes slices[s] and nothing else, so
     // the fan-out is race-free and the merge below reads a fully
     // deterministic vector whatever the scheduling.
     std::vector<PatternCatalog::AnchorMatches> slices(shards_.size());
     auto run_slice = [&](size_t s) {
-      slices[s] = catalog_->MatchAnchors(query, profile,
+      slices[s] = catalog_->MatchAnchors(query_csr, profile,
                                          shards_[s].patterns_by_anchor);
       // Per-shard flush of the per-shard work. The slices partition the
       // pattern set, so these partial sums total exactly what one

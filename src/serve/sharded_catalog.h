@@ -20,8 +20,8 @@
 // chemistry database's label skew — a heavy-tailed anchor
 // distribution just lands the heavy anchors on distinct shards first.
 //
-// Shards hold only index slices; the artifact, signatures, and
-// classifier live once in the shared PatternCatalog. That is what
+// Shards hold only index slices; the artifact, signatures, pattern
+// CSRs, and classifier live once in the shared PatternCatalog. That is what
 // makes hot reload generation-coherent for free: a new ShardedCatalog
 // wraps a new PatternCatalog, and CatalogHandle swaps the whole shard
 // set as one shared_ptr — no query can observe shards from two

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "classify/auc.h"
 #include "classify/evaluation.h"
@@ -11,6 +16,9 @@
 #include "classify/sig_knn.h"
 #include "classify/svm.h"
 #include "data/datasets.h"
+#include "features/feature_space.h"
+#include "features/rwr.h"
+#include "graph/graph.h"
 #include "util/rng.h"
 
 namespace graphsig::classify {
@@ -293,6 +301,182 @@ TEST(EvaluationTest, BalancedSampleIsBalanced) {
   }
   EXPECT_EQ(pos, neg);
   EXPECT_GT(pos, 0u);
+}
+
+// --- The packed k-NN scan against Algorithm 3 over the reference
+// Algorithm 4 (MinDistToSubVector).
+
+// Algorithm 3 by brute force: each node vector votes for its nearer
+// class (ties go to the positive class), and the k smallest (distance,
+// class) pairs are summed largest first, the order Score pops its heap
+// in, so equal inputs give bit-identical sums.
+double OracleScore(const SigKnnModel& model, const graph::Graph& query,
+                   int* finite_nodes, int* infinite_nodes) {
+  std::vector<std::pair<double, int>> entries;
+  for (const features::NodeVector& nv :
+       features::GraphToVectors(query, -1, model.space, model.rwr)) {
+    const double pos = MinDistToSubVector(nv.values, model.positive);
+    const double neg = MinDistToSubVector(nv.values, model.negative);
+    if (std::isinf(pos) && std::isinf(neg)) {
+      ++*infinite_nodes;
+      continue;
+    }
+    ++*finite_nodes;
+    entries.push_back(neg < pos ? std::pair{neg, -1} : std::pair{pos, +1});
+  }
+  std::sort(entries.begin(), entries.end());
+  entries.resize(std::min(entries.size(), static_cast<size_t>(model.k)));
+  double score = 0.0;
+  for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
+    score += static_cast<double>(it->second) / (it->first + model.delta);
+  }
+  return score;
+}
+
+// A random tree whose vertex labels all lie in the feature space.
+graph::Graph RandomLabeledTree(util::Rng* rng, int num_labels) {
+  graph::Graph g;
+  const int n = static_cast<int>(rng->NextInt(1, 14));
+  for (int v = 0; v < n; ++v) {
+    g.AddVertex(static_cast<graph::Label>(rng->NextInt(0, num_labels - 1)));
+  }
+  for (int v = 1; v < n; ++v) {
+    g.AddEdge(static_cast<graph::VertexId>(rng->NextInt(0, v - 1)), v, 1);
+  }
+  return g;
+}
+
+SigKnnModel VertexLabelModel(size_t width) {
+  SigKnnModel model;
+  for (size_t label = 0; label < width; ++label) {
+    model.space.AddVertexFeature(static_cast<graph::Label>(label));
+  }
+  return model;
+}
+
+// A class vector set: lowered copies of real node vectors (so scans
+// hit), their slot rotations (equal sums), exact duplicates, and sparse
+// random vectors (mostly misses).
+std::vector<features::FeatureVec> RandomClassVectors(
+    util::Rng* rng, const std::vector<features::FeatureVec>& pool,
+    size_t count, size_t width, int bins) {
+  std::vector<features::FeatureVec> out;
+  while (out.size() < count) {
+    features::FeatureVec v(width, 0);
+    const int64_t kind = rng->NextInt(0, 3);
+    if (kind == 0 && !out.empty()) {
+      v = out[rng->NextBounded(out.size())];
+      std::rotate(v.begin(), v.begin() + 1, v.end());
+    } else if (kind == 1 && !out.empty()) {
+      v = out[rng->NextBounded(out.size())];
+    } else if (kind == 2) {
+      v = pool[rng->NextBounded(pool.size())];
+      for (int16_t& slot : v) {
+        if (slot > 0 && rng->NextBernoulli(0.5)) {
+          slot = static_cast<int16_t>(rng->NextInt(0, slot));
+        }
+      }
+    } else {
+      for (int16_t& slot : v) {
+        if (rng->NextBernoulli(3.0 / static_cast<double>(width))) {
+          slot = static_cast<int16_t>(rng->NextInt(1, bins));
+        }
+      }
+    }
+    out.push_back(std::move(v));
+  }
+  return out;
+}
+
+TEST(SigKnnScanTest, PackedScanMatchesBruteForceAlgorithm3) {
+  int finite_nodes = 0, infinite_nodes = 0, empty_classes = 0;
+  for (const size_t width : {1, 15, 16, 17, 78}) {
+    util::Rng rng(0x5C4Aull + width);
+    const int num_labels = static_cast<int>(width);
+    for (int trial = 0; trial < 40; ++trial) {
+      SigKnnModel model = VertexLabelModel(width);
+      model.k = static_cast<int32_t>(rng.NextInt(1, 9));
+      std::vector<features::FeatureVec> pool;
+      for (int g = 0; g < 4; ++g) {
+        for (const features::NodeVector& nv : features::GraphToVectors(
+                 RandomLabeledTree(&rng, num_labels), -1, model.space,
+                 model.rwr)) {
+          pool.push_back(nv.values);
+        }
+      }
+      // Every fifth trial leaves one class (or both) without vectors.
+      const bool no_positive = trial % 5 == 1 || trial % 10 == 4;
+      const bool no_negative = trial % 5 == 2 || trial % 10 == 4;
+      empty_classes += no_positive + no_negative;
+      if (!no_positive) {
+        model.positive = RandomClassVectors(
+            &rng, pool, static_cast<size_t>(rng.NextInt(1, 40)), width,
+            model.rwr.bins);
+      }
+      if (!no_negative) {
+        model.negative = RandomClassVectors(
+            &rng, pool, static_cast<size_t>(rng.NextInt(1, 40)), width,
+            model.rwr.bins);
+      }
+      const GraphSigClassifier classifier =
+          GraphSigClassifier::FromModel(model);
+      for (int q = 0; q < 6; ++q) {
+        const graph::Graph query = RandomLabeledTree(&rng, num_labels);
+        EXPECT_EQ(classifier.Score(query),
+                  OracleScore(model, query, &finite_nodes, &infinite_nodes))
+            << "width " << width << " trial " << trial << " query " << q;
+      }
+    }
+  }
+  // The sweep must exercise hits, whole-set misses and empty classes.
+  EXPECT_GT(finite_nodes, 1000);
+  EXPECT_GT(infinite_nodes, 100);
+  EXPECT_GT(empty_classes, 0);
+}
+
+TEST(SigKnnScanTest, NoSubVectorAnywhereScoresZero) {
+  // Every stored vector is full in every slot, so no node vector of a
+  // query (slot sum ~bins) contains one: all distances are infinite.
+  for (const size_t width : {15, 16, 17, 78}) {
+    SigKnnModel model = VertexLabelModel(width);
+    const features::FeatureVec full(width, 10);
+    model.positive = {full};
+    model.negative = {full, features::FeatureVec(width, 9)};
+    const GraphSigClassifier classifier = GraphSigClassifier::FromModel(model);
+    util::Rng rng(width);
+    for (int q = 0; q < 10; ++q) {
+      const graph::Graph query =
+          RandomLabeledTree(&rng, static_cast<int>(width));
+      int finite_nodes = 0, infinite_nodes = 0;
+      EXPECT_EQ(OracleScore(model, query, &finite_nodes, &infinite_nodes),
+                0.0);
+      EXPECT_EQ(finite_nodes, 0);
+      EXPECT_EQ(infinite_nodes, query.num_vertices());
+      EXPECT_EQ(classifier.Score(query), 0.0) << "width " << width;
+    }
+  }
+}
+
+TEST(SigKnnScanTest, ScoresOnSeededScreenArePinned) {
+  // Recorded on the slot-by-slot scan that preceded the packed index;
+  // the packed scan must reproduce every bit.
+  const graph::GraphDatabase db = SmallScreen(321, 80);
+  GraphSigClassifier classifier(FastSigConfig());
+  classifier.Train(BalancedTrainingSample(db, 0.5, 9));
+  const GraphSigClassifier imported =
+      GraphSigClassifier::FromModel(classifier.ExportModel());
+  const double expected[] = {
+      1.4495643013602484, 6000.0001249063043, 2.5825766150931448,
+      -0.11903458170007897, -1.4992503748125938, 0.99962515617972059,
+      1.2925693004689978, 6000.7498125468628, 1.8661545889766145,
+      2004.0800378031131, 6000.9990009990015, 0.049810979757003659,
+      0.61753491888536827, 1.8161077028378383, 0.94964764855702621,
+      0.31674630019811101,
+  };
+  for (size_t i = 0; i < std::size(expected); ++i) {
+    EXPECT_EQ(classifier.Score(db.graph(i)), expected[i]) << "graph " << i;
+    EXPECT_EQ(imported.Score(db.graph(i)), expected[i]) << "graph " << i;
+  }
 }
 
 }  // namespace

@@ -7,7 +7,9 @@
 //  * a seeded property test that round-trips randomly generated graphs
 //    through the binary codec and requires byte-identical re-encoding;
 //  * checks that ByteReader decode failures name the section being
-//    decoded and the byte offset of the failed read.
+//    decoded and the byte offset of the failed read;
+//  * checks that a classifier section the serving k-NN index cannot
+//    honour (bad bins, vector widths or slot values) is a ParseError.
 
 #include <cstdint>
 #include <string>
@@ -16,8 +18,10 @@
 
 #include <gtest/gtest.h>
 
+#include "classify/sig_knn.h"
 #include "data/datasets.h"
 #include "features/feature_space.h"
+#include "features/packed_vector_set.h"
 #include "graph/graph.h"
 #include "graph/graph_database.h"
 #include "graph/serialize.h"
@@ -238,6 +242,96 @@ TEST(ByteReaderMessages, GraphDecodeFailureNamesSectionAndOffset) {
       << result.status().ToString();
   EXPECT_NE(result.status().message().find("offset"), std::string::npos)
       << result.status().ToString();
+}
+
+// --- Classifier section validation -------------------------------------
+//
+// The served k-NN index packs every slot into a 4-bit lane and compares
+// it against query slots in [0, bins], so decode rejects any classifier
+// whose bins, vector widths or slot values the index could not honour
+// (they used to load and then read out of bounds or abort on the first
+// scored query).
+
+model::ModelArtifact ClassifierArtifact() {
+  model::ModelArtifact artifact = GoldenArtifact();
+  classify::SigKnnModel& knn = artifact.classifier;
+  knn.space = artifact.feature_space;
+  const size_t width = knn.space.size();
+  knn.positive = {features::FeatureVec(width, 1),
+                  features::FeatureVec(width, 0)};
+  knn.negative = {features::FeatureVec(width, 10)};
+  return artifact;
+}
+
+TEST(ClassifierSectionValidation, AcceptsSlotsWithinBins) {
+  const model::ModelArtifact golden = ClassifierArtifact();
+  ASSERT_GT(golden.classifier.space.size(), 1u);
+  ASSERT_TRUE(model::DecodeArtifact(model::EncodeArtifact(golden)).ok());
+
+  // Both ends of the bins range, with slots at their bounds.
+  const int32_t max_bins = features::kPackedMaxSlotValue;
+  for (const int32_t bins : {1, max_bins}) {
+    model::ModelArtifact artifact = golden;
+    artifact.classifier.rwr.bins = bins;
+    artifact.classifier.negative = {features::FeatureVec(
+        artifact.classifier.space.size(), static_cast<int16_t>(bins))};
+    const auto decoded =
+        model::DecodeArtifact(model::EncodeArtifact(artifact));
+    ASSERT_TRUE(decoded.ok()) << "bins " << bins << ": "
+                              << decoded.status().ToString();
+    EXPECT_EQ(decoded.value().classifier.rwr.bins, bins);
+  }
+}
+
+TEST(ClassifierSectionValidation, RejectsBadBinsWidthsAndSlots) {
+  const model::ModelArtifact golden = ClassifierArtifact();
+  const size_t width = golden.classifier.space.size();
+  struct Case {
+    const char* name;
+    void (*mutate)(classify::SigKnnModel*, size_t width);
+  };
+  const Case cases[] = {
+      {"zero bins", [](classify::SigKnnModel* m, size_t) { m->rwr.bins = 0; }},
+      {"negative bins",
+       [](classify::SigKnnModel* m, size_t) { m->rwr.bins = -4; }},
+      {"bins past the 4-bit lane",
+       [](classify::SigKnnModel* m, size_t) {
+         m->rwr.bins = features::kPackedMaxSlotValue + 1;
+       }},
+      {"positive vector wider than the space",
+       [](classify::SigKnnModel* m, size_t w) {
+         m->positive.push_back(features::FeatureVec(w + 1, 0));
+       }},
+      {"negative vector narrower than the space",
+       [](classify::SigKnnModel* m, size_t w) {
+         m->negative.push_back(features::FeatureVec(w - 1, 0));
+       }},
+      {"empty negative vector",
+       [](classify::SigKnnModel* m, size_t) { m->negative.emplace_back(); }},
+      {"negative slot",
+       [](classify::SigKnnModel* m, size_t) { m->positive[0][0] = -1; }},
+      {"slot above bins",
+       [](classify::SigKnnModel* m, size_t w) {
+         m->negative[0][w - 1] = static_cast<int16_t>(m->rwr.bins + 1);
+       }},
+      {"slot that cannot be packed",
+       [](classify::SigKnnModel* m, size_t) {
+         m->rwr.bins = features::kPackedMaxSlotValue;
+         m->positive[1][0] = features::kPackedMaxSlotValue + 1;
+       }},
+  };
+  for (const Case& c : cases) {
+    model::ModelArtifact artifact = golden;
+    c.mutate(&artifact.classifier, width);
+    const auto result =
+        model::DecodeArtifact(model::EncodeArtifact(artifact));
+    ASSERT_FALSE(result.ok()) << c.name << " decoded OK";
+    EXPECT_EQ(result.status().code(), StatusCode::kParseError)
+        << c.name << ": " << result.status().ToString();
+    EXPECT_NE(result.status().message().find("classifier section"),
+              std::string::npos)
+        << c.name << ": " << result.status().ToString();
+  }
 }
 
 }  // namespace

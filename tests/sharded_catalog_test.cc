@@ -17,6 +17,7 @@
 #include "data/datasets.h"
 #include "model/artifact.h"
 #include "net/wire.h"
+#include "obs/metrics.h"
 #include "serve/pattern_catalog.h"
 #include "serve/sharded_catalog.h"
 #include "util/check.h"
@@ -158,6 +159,30 @@ TEST(ShardedCatalogTest, ServingStatsTotalsMatchUnsharded) {
     EXPECT_EQ(stats.pruned, unsharded.pruned) << shards << " shards";
     EXPECT_EQ(stats.pattern_matches, unsharded.pattern_matches)
         << shards << " shards";
+  }
+}
+
+TEST(ShardedCatalogTest, OneQueryCsrBuildAtAnyShardCount) {
+  // The query's CSR is built once before the fan-out and the pattern
+  // CSRs at load, so one query's graph/csr_builds delta is the
+  // unsharded one (a single build: this catalog has no classifier)
+  // whatever the shard count.
+  const Fixture& f = SharedFixture();
+  obs::Counter* const builds =
+      obs::MetricsRegistry::Global().GetCounter("graph/csr_builds");
+  CatalogQueryConfig config;
+  config.num_threads = 2;
+  for (const graph::Graph& g : f.holdout.graphs()) {
+    uint64_t before = builds->value();
+    (void)f.catalog->Query(g, config);
+    const uint64_t unsharded = builds->value() - before;
+    EXPECT_EQ(unsharded, 1u);
+    for (int shards : {1, 2, 4}) {
+      const ShardedCatalog sharded(f.catalog, shards);
+      before = builds->value();
+      (void)sharded.Query(g, config);
+      EXPECT_EQ(builds->value() - before, unsharded) << shards << " shards";
+    }
   }
 }
 
