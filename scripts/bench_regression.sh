@@ -3,9 +3,9 @@
 # number this produces and compares is a deterministic work counter
 # (src/obs): wall-clock never enters the gate, so it holds on slow,
 # noisy, single-core runners. Counters can stay equal while output bytes
-# change, so the phase-1 mine CSV, the phase-2 model artifact and the
-# phase-2 query CSV are also pinned by md5
-# (bench/baselines/output_md5.txt).
+# change, so the phase-1 mine CSV, the phase-1b incremental artifact,
+# the phase-2 model artifact and the phase-2 query CSV are also pinned
+# by md5 (bench/baselines/output_md5.txt).
 #
 #   bench_regression.sh <build-dir>             # compare to baseline
 #   bench_regression.sh <build-dir> --refresh   # rewrite the baselines
@@ -63,7 +63,8 @@ trap cleanup EXIT
 # accounting (graphs replayed vs featurized, groups re-mined, log
 # records) gates here alongside the mining counters. Byte-identity of
 # the incremental artifact against a cold re-mine is tier-1
-# (tests/stream_test.cc); this phase pins the work the shortcut saves.
+# (tests/stream_test.cc); this phase pins the work the shortcut saves,
+# and the md5 gate below pins the artifact the second mine writes.
 "$BUILD/tools/graphsig_datagen" --screen=MCF-7 --size=40 --seed=5 \
   --active-fraction=0.3 --output="$WORK/batch1.smi" >/dev/null
 "$BUILD/tools/graphsig_datagen" --screen=MCF-7 --size=20 --seed=6 \
@@ -73,7 +74,8 @@ trap cleanup EXIT
   --append="$WORK/batch1.smi" --mine --radius=4 --threads=2 >/dev/null
 "$BUILD/tools/graphsig_ingest" --log="$WORK/stream.gsl" \
   --append="$WORK/batch2.smi" --mine --tarone-alpha=0.05 --radius=4 \
-  --threads=2 --metrics-out="$WORK/ingest_metrics.json" >/dev/null
+  --threads=2 --metrics-out="$WORK/ingest_metrics.json" \
+  --output="$WORK/ingest.gsig" >/dev/null
 
 # --- Phase 2: serve the indexed model, replay a seeded query load -----
 "$BUILD/tools/graphsig_index" --input="$WORK/screen.smi" \
@@ -181,7 +183,8 @@ fi
 
 # --- Phase 4: gate on the output bytes ---------------------------------
 if [ "$MODE" = "--refresh" ]; then
-  (cd "$WORK" && md5sum mine.csv model.gsig query.csv) >"$OUTPUT_MD5"
+  (cd "$WORK" && md5sum mine.csv ingest.gsig model.gsig query.csv) \
+    >"$OUTPUT_MD5"
   echo "bench_regression: wrote $OUTPUT_MD5"
 elif ! (cd "$WORK" && md5sum --check --quiet "$OUTPUT_MD5"); then
   echo "bench_regression: output bytes differ from $OUTPUT_MD5" >&2

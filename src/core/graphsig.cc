@@ -145,34 +145,30 @@ GraphSigResult GraphSig::Mine(const GraphDatabase& db) const {
   result.stats.num_region_requests = plan.num_region_requests;
   result.stats.num_unique_regions = plan.num_unique_regions;
 
-  // Pass 2: compute each distinct cut once, in parallel (each slot is
-  // written by exactly one task; the cut is a pure function of its key).
-  std::vector<graph::Graph> cuts(plan.cut_owner.size());
+  // Pass 2: make and flatten each distinct cut once, in parallel (each
+  // slot is written by exactly one task; the cut is a pure function of
+  // its key). Every task that selects a cut borrows its one CSR. No work
+  // capture is open here, which keeps the graph/csr_builds total equal
+  // to the incremental miner's (core/mine_pipeline.h).
+  std::vector<graph::CsrGraph> region_csrs(plan.cut_owner.size());
   util::ParallelFor(
       config_.num_threads, plan.cut_owner.size(), [&](size_t i) {
         const NodeVector& nv = phase.node_vectors[plan.cut_owner[i]];
-        cuts[i] = pipeline::CutRegion(db.graph(nv.graph_index),
-                                      nv.graph_index, nv.node,
-                                      config_.cutoff_radius);
+        region_csrs[i] = graph::CsrGraph(
+            pipeline::CutRegion(db.graph(nv.graph_index), nv.graph_index,
+                                nv.node, config_.cutoff_radius));
       });
 
-  // Pass 3: mine every region set as a pool task. `plan` and `cuts` are
-  // read-only from here on.
+  // Pass 3: mine every region set as a pool task. `plan` and
+  // `region_csrs` are read-only from here on.
   std::vector<pipeline::RegionTaskOutput> outputs(plan.tasks.size());
   util::ParallelFor(
       config_.num_threads, plan.tasks.size(), [&](size_t t) {
         const pipeline::RegionTask& task = plan.tasks[t];
-        const fvmine::SignificantVector& sv =
-            phase.significant[task.sv_index].second;
-        GraphDatabase regions;
-        regions.Reserve(task.chosen.size());
-        for (int32_t vector_index : task.chosen) {
-          const NodeVector& nv = phase.node_vectors[vector_index];
-          regions.Add(cuts[plan.cut_slot.at(
-              pipeline::RegionCutKey(nv.graph_index, nv.node))]);
-        }
-        outputs[t] =
-            pipeline::MineRegionTask(config_, task.label, sv, regions);
+        outputs[t] = pipeline::MineRegionTask(
+            config_, task.label, phase.significant[task.sv_index].second,
+            pipeline::TaskRegions(plan, task, phase.node_vectors,
+                                  region_csrs));
       });
 
   // Deterministic merge: task order is significant-vector order, and the

@@ -9,6 +9,7 @@
 #include "fsm/miner.h"
 #include "graph/csr.h"
 #include "graph/isomorphism.h"
+#include "graph/signature.h"
 #include "obs/metrics.h"
 #include "stats/pvalue_model.h"
 #include "util/parallel.h"
@@ -131,9 +132,34 @@ graph::Graph CutRegion(const graph::Graph& host, int32_t graph_index,
   return cut;
 }
 
+std::vector<const graph::CsrGraph*> TaskRegions(
+    const RegionPlan& plan, const RegionTask& task,
+    const std::vector<NodeVector>& node_vectors,
+    const std::vector<graph::CsrGraph>& region_csrs) {
+  std::vector<const graph::CsrGraph*> regions;
+  regions.reserve(task.chosen.size());
+  for (int32_t vector_index : task.chosen) {
+    const NodeVector& nv = node_vectors[vector_index];
+    regions.push_back(&region_csrs[plan.cut_slot.at(
+        RegionCutKey(nv.graph_index, nv.node))]);
+  }
+  return regions;
+}
+
 RegionTaskOutput MineRegionTask(const GraphSigConfig& config, Label label,
                                 const fvmine::SignificantVector& sv,
                                 const GraphDatabase& regions) {
+  const std::vector<graph::CsrGraph> csrs(regions.graphs().begin(),
+                                          regions.graphs().end());
+  std::vector<const graph::CsrGraph*> borrowed;
+  borrowed.reserve(csrs.size());
+  for (const graph::CsrGraph& g : csrs) borrowed.push_back(&g);
+  return MineRegionTask(config, label, sv, borrowed);
+}
+
+RegionTaskOutput MineRegionTask(const GraphSigConfig& config, Label label,
+                                const fvmine::SignificantVector& sv,
+                                fsm::CsrDatabase regions) {
   RegionTaskOutput output;
   fsm::MinerConfig miner_config;
   miner_config.min_support = std::max<int64_t>(
@@ -185,17 +211,27 @@ void ComputeDbFrequencies(const GraphSigConfig& config,
                           const GraphDatabase& db,
                           std::vector<SignificantSubgraph>* subgraphs) {
   if (!config.compute_db_frequency || subgraphs->empty()) return;
-  // Every pattern is matched against every graph: flatten each database
-  // graph to CSR once per mine and each pattern once, not both per pair.
-  std::vector<graph::CsrGraph> targets;
-  targets.reserve(db.size());
-  for (const graph::Graph& g : db.graphs()) targets.emplace_back(g);
+  // Every pattern is tested against every graph: flatten and profile
+  // each database graph once per mine and each pattern once, not per
+  // pair. Most pairs fail the signature test, which is a necessary
+  // condition for containment, so VF2 only sees the rest.
+  std::vector<graph::CsrGraph> targets(db.size());
+  std::vector<graph::ContainmentSignature> profiles(db.size());
+  util::ParallelFor(config.num_threads, db.size(), [&](size_t g) {
+    targets[g] = graph::CsrGraph(db.graph(g));
+    profiles[g] = graph::BuildContainmentSignature(db.graph(g));
+  });
   util::ParallelFor(config.num_threads, subgraphs->size(), [&](size_t i) {
     SignificantSubgraph& sg = (*subgraphs)[i];
+    const graph::ContainmentSignature signature =
+        graph::BuildContainmentSignature(sg.subgraph);
     const graph::CsrGraph pattern(sg.subgraph);
     int64_t frequency = 0;
-    for (const graph::CsrGraph& g : targets) {
-      if (graph::IsSubgraphIsomorphic(pattern, g)) ++frequency;
+    for (size_t g = 0; g < targets.size(); ++g) {
+      if (graph::SignatureDominated(signature, profiles[g]) &&
+          graph::IsSubgraphIsomorphic(pattern, targets[g])) {
+        ++frequency;
+      }
     }
     sg.db_frequency = frequency;
   });

@@ -15,7 +15,9 @@
 // other than the metrics registry. Units that run inside ParallelFor
 // tasks (MineLabelGroup, CutRegion, MineRegionTask) are internally
 // single-threaded, which is what makes their metric writes capturable
-// per unit.
+// per unit. The one exception is the per-mine flattening of region cuts
+// (see RegionPlan): it runs outside any capture, so cached units carry
+// no CSR builds and both miners count one build per distinct cut.
 
 #include <cstdint>
 #include <map>
@@ -26,7 +28,9 @@
 
 #include "core/graphsig.h"
 #include "features/feature_vector.h"
+#include "fsm/miner.h"
 #include "fvmine/fvmine.h"
+#include "graph/csr.h"
 #include "graph/graph_database.h"
 
 namespace graphsig::core::pipeline {
@@ -63,6 +67,10 @@ struct RegionTask {
 // Pass-1 output: the task list plus the distinct (graph, node) cuts the
 // tasks need. `cut_slot` maps RegionCutKey -> slot, `cut_owner` maps
 // slot -> node-vector index to cut at.
+//
+// Miners make (or fetch) each slot's cut and flatten it to one
+// graph::CsrGraph per slot, once per mine and outside any work capture;
+// every task that selects the cut borrows that CSR (TaskRegions).
 struct RegionPlan {
   std::vector<RegionTask> tasks;
   std::unordered_map<int64_t, int32_t> cut_slot;
@@ -93,7 +101,20 @@ struct RegionTaskOutput {
   bool filtered = false;  // no common structure (line-13 pruning)
 };
 
-// Pass-3 body: maximal FSM over one assembled region set.
+// The borrowed region set of one task: the slot CSR of each chosen
+// vector's cut, in `task.chosen` order. `region_csrs` is indexed by slot.
+std::vector<const graph::CsrGraph*> TaskRegions(
+    const RegionPlan& plan, const RegionTask& task,
+    const std::vector<features::NodeVector>& node_vectors,
+    const std::vector<graph::CsrGraph>& region_csrs);
+
+// Pass-3 body: maximal FSM over one assembled region set. Builds no CSR.
+RegionTaskOutput MineRegionTask(const GraphSigConfig& config,
+                                graph::Label label,
+                                const fvmine::SignificantVector& sv,
+                                fsm::CsrDatabase regions);
+// Same over Graph regions: flattens each region (one graph/csr_builds
+// each) and forwards.
 RegionTaskOutput MineRegionTask(const GraphSigConfig& config,
                                 graph::Label label,
                                 const fvmine::SignificantVector& sv,
@@ -107,7 +128,9 @@ void MergeRegionOutput(RegionTaskOutput&& output,
                        GraphSigStats* stats);
 
 // Full-database frequency scan (compute_db_frequency) and the final
-// (p-value asc, edges desc) ordering.
+// (p-value asc, edges desc) ordering. The scan runs VF2 only on the
+// (pattern, graph) pairs whose containment signatures
+// (graph/signature.h) do not already rule containment out.
 void ComputeDbFrequencies(const GraphSigConfig& config,
                           const graph::GraphDatabase& db,
                           std::vector<SignificantSubgraph>* subgraphs);

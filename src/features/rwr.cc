@@ -1,6 +1,8 @@
 #include "features/rwr.h"
 
+#include <array>
 #include <cmath>
+#include <span>
 
 #include "graph/csr.h"
 #include "obs/metrics.h"
@@ -76,56 +78,127 @@ std::vector<double> AccumulateFeatureMass(const graph::Graph& g,
 
 namespace {
 
-// Fast path for the unconfined walk (radius <= 0): no window bookkeeping,
-// effective out-degree is the plain degree. This is the hot loop of both
-// GraphSig featurization and query-time classification. Templated over
-// the graph representation: GraphToVectors runs it on CsrGraph (one CSR
-// build amortized over all of a graph's sources), the Graph overload
-// keeps one-off callers working. Both instantiations visit neighbors in
-// the same order, so the float accumulation — and therefore every output
-// byte and the rwr/* work counters — is identical.
-template <typename GraphT>
-std::vector<double> RwrWholeGraph(const GraphT& g,
-                                  graph::VertexId source,
-                                  const RwrConfig& config) {
+// Sources the unconfined walk power-iterates together: one column per
+// source in a row-major n x kRwrBlock buffer, so one pass over the
+// adjacency serves the whole block and scratch stays O(n * kRwrBlock).
+constexpr int kRwrBlock = 8;
+
+// Unconfined walk (radius <= 0): no window bookkeeping, effective
+// out-degree is the plain degree. This is the hot loop of both GraphSig
+// featurization and query-time classification. It runs the power
+// iteration of every source in `sources`, kWidth columns at a time; a
+// column that converges (or hits max_iterations) is handed to
+// `emit(k, distribution)` — k indexes `sources` — then zeroed and
+// refilled with the next pending source.
+//
+// Each column does exactly the float ops of a one-source iteration, in
+// the same order: (1-α)·p/deg per vertex, neighbor adds in (v ascending,
+// adjacency) order, the restart term, then the delta sum in v order.
+// Where a column's p[v] is zero the block adds +0.0, which is exact on
+// these non-negative values, so every column is bit-identical to the
+// one-source walk; rwr/float_ops counts only its nonzero p[v], as that
+// walk did. Templated over the graph representation (Graph and CsrGraph
+// list neighbors in the same order).
+template <int kWidth, typename GraphT, typename Emit>
+void RwrBlock(const GraphT& g, std::span<const graph::VertexId> sources,
+              const RwrConfig& config, Emit&& emit) {
   const double alpha = config.restart_prob;
-  std::vector<double> p(g.num_vertices(), 0.0);
-  p[source] = 1.0;
-  std::vector<double> next(g.num_vertices(), 0.0);
-  uint64_t iters = 0, flops = 0;
-  for (int iter = 0; iter < config.max_iterations; ++iter) {
-    ++iters;
-    std::fill(next.begin(), next.end(), 0.0);
-    double dangling = 0.0;
-    for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
-      if (p[v] == 0.0) continue;
-      const int degree = g.degree(v);
-      if (degree == 0) {
-        dangling += p[v];
-        ++flops;
+  const graph::VertexId n = g.num_vertices();
+  const size_t cells = static_cast<size_t>(n) * kWidth;
+  std::vector<double> p(cells, 0.0);
+  std::vector<double> next(cells, 0.0);
+  std::vector<double> column(static_cast<size_t>(n));
+  std::vector<uint64_t> iters(sources.size(), 0);
+  std::vector<uint64_t> flops(sources.size(), 0);
+  // slot[j]: the index into `sources` column j iterates, -1 when idle.
+  std::array<int64_t, kWidth> slot;
+  size_t pending = 0;
+  int active = 0;
+  auto load = [&](int j) {
+    slot[j] = -1;
+    while (pending < sources.size()) {
+      const size_t k = pending++;
+      if (config.max_iterations <= 0) {
+        // No step runs: the walker stays at its source.
+        std::fill(column.begin(), column.end(), 0.0);
+        column[sources[k]] = 1.0;
+        emit(k, column);
         continue;
       }
-      const double share = (1.0 - alpha) * p[v] / degree;
-      flops += 2 + static_cast<uint64_t>(degree);
+      slot[j] = static_cast<int64_t>(k);
+      p[static_cast<size_t>(sources[k]) * kWidth + j] = 1.0;
+      ++active;
+      return;
+    }
+  };
+  for (int j = 0; j < kWidth; ++j) load(j);
+
+  while (active > 0) {
+    std::fill(next.begin(), next.end(), 0.0);
+    std::array<double, kWidth> dangling{};
+    std::array<uint64_t, kWidth> step_flops{};
+    for (graph::VertexId v = 0; v < n; ++v) {
+      const double* pv = &p[static_cast<size_t>(v) * kWidth];
+      bool any = false;
+      for (int j = 0; j < kWidth; ++j) any |= pv[j] != 0.0;
+      if (!any) continue;
+      const int degree = g.degree(v);
+      if (degree == 0) {
+        for (int j = 0; j < kWidth; ++j) {
+          dangling[j] += pv[j];
+          step_flops[j] += pv[j] != 0.0 ? 1 : 0;
+        }
+        continue;
+      }
+      std::array<double, kWidth> share;
+      for (int j = 0; j < kWidth; ++j) {
+        share[j] = (1.0 - alpha) * pv[j] / degree;
+        step_flops[j] +=
+            pv[j] != 0.0 ? 2 + static_cast<uint64_t>(degree) : 0;
+      }
       for (const graph::AdjEntry& adj : g.neighbors(v)) {
-        next[adj.to] += share;
+        double* out = &next[static_cast<size_t>(adj.to) * kWidth];
+        for (int j = 0; j < kWidth; ++j) out[j] += share[j];
       }
     }
-    next[source] += alpha * (1.0 - dangling) + dangling;
-    double delta = 0.0;
-    for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
-      delta += std::abs(next[v] - p[v]);
+    for (int j = 0; j < kWidth; ++j) {
+      if (slot[j] < 0) continue;
+      next[static_cast<size_t>(sources[slot[j]]) * kWidth + j] +=
+          alpha * (1.0 - dangling[j]) + dangling[j];
     }
-    flops += 2 * static_cast<uint64_t>(g.num_vertices());
+    std::array<double, kWidth> delta{};
+    for (size_t cell = 0; cell < cells; cell += kWidth) {
+      for (int j = 0; j < kWidth; ++j) {
+        delta[j] += std::abs(next[cell + j] - p[cell + j]);
+      }
+    }
     p.swap(next);
-    if (delta < config.epsilon) break;
+    for (int j = 0; j < kWidth; ++j) {
+      if (slot[j] < 0) continue;
+      const size_t k = static_cast<size_t>(slot[j]);
+      ++iters[k];
+      flops[k] += step_flops[j] + 2 * static_cast<uint64_t>(n);
+      if (delta[j] >= config.epsilon &&
+          iters[k] < static_cast<uint64_t>(config.max_iterations)) {
+        continue;
+      }
+      for (graph::VertexId v = 0; v < n; ++v) {
+        double& cell = p[static_cast<size_t>(v) * kWidth + j];
+        column[v] = cell;
+        cell = 0.0;
+      }
+      emit(k, column);
+      --active;
+      load(j);
+    }
   }
-  RwrMetrics::Get().Flush(iters, flops);
-  return p;
+  for (size_t k = 0; k < sources.size(); ++k) {
+    RwrMetrics::Get().Flush(iters[k], flops[k]);
+  }
 }
 
-// Radius-confined walk (radius > 0); same representation-templating and
-// determinism argument as RwrWholeGraph above.
+// Radius-confined walk (radius > 0), one source at a time; templated
+// over the graph representation like RwrBlock.
 template <typename GraphT>
 std::vector<double> RwrConfined(const GraphT& g, graph::VertexId source,
                                 const RwrConfig& config) {
@@ -187,8 +260,11 @@ std::vector<double> RwrStationaryImpl(const GraphT& g,
   GS_CHECK_LT(source, g.num_vertices());
   GS_CHECK_GT(config.restart_prob, 0.0);
   GS_CHECK_LE(config.restart_prob, 1.0);
-  if (config.radius <= 0) return RwrWholeGraph(g, source, config);
-  return RwrConfined(g, source, config);
+  if (config.radius > 0) return RwrConfined(g, source, config);
+  std::vector<double> distribution;
+  RwrBlock<1>(g, std::span<const graph::VertexId>(&source, 1), config,
+              [&](size_t, const std::vector<double>& p) { distribution = p; });
+  return distribution;
 }
 
 }  // namespace
@@ -203,6 +279,26 @@ std::vector<double> RwrStationaryDistribution(const graph::CsrGraph& g,
                                               graph::VertexId source,
                                               const RwrConfig& config) {
   return RwrStationaryImpl(g, source, config);
+}
+
+void RwrAllSources(const graph::CsrGraph& g, const RwrConfig& config,
+                   const RwrEmit& emit) {
+  GS_CHECK_GT(config.restart_prob, 0.0);
+  GS_CHECK_LE(config.restart_prob, 1.0);
+  if (config.radius > 0) {
+    for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
+      emit(v, RwrConfined(g, v, config));
+    }
+    return;
+  }
+  std::vector<graph::VertexId> sources(static_cast<size_t>(g.num_vertices()));
+  for (size_t v = 0; v < sources.size(); ++v) {
+    sources[v] = static_cast<graph::VertexId>(v);
+  }
+  RwrBlock<kRwrBlock>(g, sources, config,
+                      [&](size_t v, const std::vector<double>& p) {
+                        emit(static_cast<graph::VertexId>(v), p);
+                      });
 }
 
 std::vector<double> RwrFeatureDistribution(const graph::Graph& g,
@@ -265,24 +361,28 @@ std::vector<NodeVector> GraphToVectors(const graph::Graph& g,
                                        int32_t graph_index,
                                        const FeatureSpace& features,
                                        const RwrConfig& config) {
-  std::vector<NodeVector> out;
-  out.reserve(g.num_vertices());
+  std::vector<NodeVector> out(static_cast<size_t>(g.num_vertices()));
+  for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
+    out[v].graph_index = graph_index;
+    out[v].node = v;
+    out[v].node_label = g.vertex_label(v);
+  }
   // One CSR build serves every source of this graph. The mass
   // accumulation intentionally stays on the Graph's flat edge list: its
   // float-add order is part of the byte-identical output contract.
   const graph::CsrGraph csr(g);
+  if (config.featurizer == Featurizer::kRwr) {
+    RwrAllSources(csr, config,
+                  [&](graph::VertexId v, const std::vector<double>& p) {
+                    out[v].values = Discretize(
+                        AccumulateFeatureMass(g, p, features), config.bins);
+                  });
+    return out;
+  }
   for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
-    NodeVector nv;
-    nv.graph_index = graph_index;
-    nv.node = v;
-    nv.node_label = g.vertex_label(v);
-    const std::vector<double> distribution =
-        config.featurizer == Featurizer::kRwr
-            ? AccumulateFeatureMass(
-                  g, RwrStationaryDistribution(csr, v, config), features)
-            : CountFeatureDistribution(g, v, features, config.radius);
-    nv.values = Discretize(distribution, config.bins);
-    out.push_back(std::move(nv));
+    out[v].values = Discretize(
+        CountFeatureDistribution(g, v, features, config.radius),
+        config.bins);
   }
   return out;
 }

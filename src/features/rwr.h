@@ -1,6 +1,7 @@
 #ifndef GRAPHSIG_FEATURES_RWR_H_
 #define GRAPHSIG_FEATURES_RWR_H_
 
+#include <functional>
 #include <vector>
 
 #include "features/feature_space.h"
@@ -45,11 +46,25 @@ std::vector<double> RwrStationaryDistribution(const graph::Graph& g,
                                               const RwrConfig& config);
 
 // CSR overload: same values, same rwr/* work counters, byte for byte —
-// the power iteration visits neighbors in the same order. GraphToVectors
-// uses this so one CSR build amortizes over all of a graph's sources.
+// the power iteration visits neighbors in the same order. For
+// radius <= 0 both overloads run RwrAllSources' block kernel with a
+// one-source block.
 std::vector<double> RwrStationaryDistribution(const graph::CsrGraph& g,
                                               graph::VertexId source,
                                               const RwrConfig& config);
+
+// Stationary distribution of every vertex of `g` as the source, each
+// handed once to `emit(source, distribution)`. Values and rwr/* counters
+// equal a per-source RwrStationaryDistribution call, byte for byte. The
+// unconfined walk (radius <= 0) power-iterates a fixed-width block of
+// sources together (scratch O(num_vertices * block)), so sources are
+// emitted in convergence order, not source order; rwr/* counters are
+// flushed per source, in source order, after the last emit. The
+// radius-confined walk runs and emits one source at a time, in order.
+using RwrEmit =
+    std::function<void(graph::VertexId, const std::vector<double>&)>;
+void RwrAllSources(const graph::CsrGraph& g, const RwrConfig& config,
+                   const RwrEmit& emit);
 
 // Continuous feature-mass distribution (one slot per feature of
 // `features`), normalized to sum 1 when any mass exists.
@@ -69,7 +84,8 @@ std::vector<double> CountFeatureDistribution(const graph::Graph& g,
 // round(bins * value) per slot, clamped to [0, bins].
 FeatureVec Discretize(const std::vector<double>& distribution, int bins);
 
-// One NodeVector per node of `g` (RWR featurizer).
+// One NodeVector per node of `g` (RWR featurizer: RwrAllSources over
+// one CSR build of `g`).
 std::vector<NodeVector> GraphToVectors(const graph::Graph& g,
                                        int32_t graph_index,
                                        const FeatureSpace& features,

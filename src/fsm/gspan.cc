@@ -26,7 +26,6 @@ namespace {
 
 using graph::AdjEntry;
 using graph::CsrGraph;
-using graph::GraphDatabase;
 using graph::Label;
 using graph::VertexId;
 
@@ -132,7 +131,7 @@ struct Child {
 
 class GSpanMiner {
  public:
-  GSpanMiner(const GraphDatabase& db, const MinerConfig& config)
+  GSpanMiner(CsrDatabase db, const MinerConfig& config)
       : db_(db), config_(config) {}
 
   MineResult Run() {
@@ -141,15 +140,13 @@ class GSpanMiner {
       ReportSingleVertices();
     }
 
-    // Flatten every database graph to CSR once; all extension loops and
-    // embedding chains reference these half-edge arrays.
-    csrs_.reserve(db_.size());
+    // All extension loops and embedding chains reference the borrowed
+    // CSRs' half-edge arrays.
     int32_t max_vertices = 0;
     int32_t max_edges = 0;
-    for (size_t gid = 0; gid < db_.size(); ++gid) {
-      csrs_.emplace_back(db_.graph(gid));
-      max_vertices = std::max(max_vertices, csrs_.back().num_vertices());
-      max_edges = std::max(max_edges, csrs_.back().num_edges());
+    for (const CsrGraph* g : db_) {
+      max_vertices = std::max(max_vertices, g->num_vertices());
+      max_edges = std::max(max_edges, g->num_edges());
     }
     vertex_stamp_.assign(static_cast<size_t>(max_vertices), 0);
     edge_stamp_.assign(static_cast<size_t>(max_edges), 0);
@@ -159,8 +156,8 @@ class GSpanMiner {
     // embeddings when the endpoint labels are equal. Root embeddings are
     // allocated before any Project frame marks the arena, so they outlive
     // every rewind.
-    for (size_t gid = 0; gid < csrs_.size(); ++gid) {
-      const CsrGraph& g = csrs_[gid];
+    for (size_t gid = 0; gid < db_.size(); ++gid) {
+      const CsrGraph& g = *db_[gid];
       for (VertexId v = 0; v < g.num_vertices(); ++v) {
         for (const AdjEntry& adj : g.neighbors(v)) {
           if (g.vertex_label(v) > g.vertex_label(adj.to)) continue;
@@ -195,9 +192,8 @@ class GSpanMiner {
   void ReportSingleVertices() {
     std::map<Label, std::vector<int32_t>> by_label;
     for (size_t gid = 0; gid < db_.size(); ++gid) {
-      const graph::Graph& g = db_.graph(gid);
       std::map<Label, bool> seen;
-      for (Label l : g.vertex_labels()) {
+      for (Label l : db_[gid]->vertex_labels()) {
         if (!seen[l]) {
           seen[l] = true;
           by_label[l].push_back(static_cast<int32_t>(gid));
@@ -334,7 +330,7 @@ class GSpanMiner {
     const util::Arena::Mark frame_mark = arena_.Position();
 
     for (const Emb& emb : projected) {
-      const CsrGraph& g = csrs_[emb.gid];
+      const CsrGraph& g = *db_[emb.gid];
       LoadHistory(code, &emb);
       const VertexId rm_g = dfs_to_g_[maxtoc];
 
@@ -394,11 +390,10 @@ class GSpanMiner {
     arena_.Rewind(frame_mark);
   }
 
-  const GraphDatabase& db_;
+  const CsrDatabase db_;  // borrowed: one flat adjacency per graph
   const MinerConfig config_;
   MineResult result_;
-  std::vector<CsrGraph> csrs_;  // one flat adjacency per database graph
-  util::Arena arena_;           // embedding-chain storage (task-scoped)
+  util::Arena arena_;  // embedding-chain storage (task-scoped)
   // Scan scratch, reused by every frame: a frame consumes it into child
   // projections before it recurses.
   BucketIndex index_;
@@ -415,8 +410,16 @@ class GSpanMiner {
 
 }  // namespace
 
-MineResult MineFrequentGSpan(const GraphDatabase& db,
+MineResult MineFrequentGSpan(const graph::GraphDatabase& db,
                              const MinerConfig& config) {
+  const std::vector<CsrGraph> csrs(db.graphs().begin(), db.graphs().end());
+  std::vector<const CsrGraph*> borrowed;
+  borrowed.reserve(csrs.size());
+  for (const CsrGraph& g : csrs) borrowed.push_back(&g);
+  return MineFrequentGSpan(borrowed, config);
+}
+
+MineResult MineFrequentGSpan(CsrDatabase db, const MinerConfig& config) {
   GS_CHECK_GE(config.min_support, 1);
   GS_TRACE_SPAN_NAMED(span, "mine/fsm/gspan");
   GSpanMiner miner(db, config);

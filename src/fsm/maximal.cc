@@ -73,6 +73,12 @@ std::vector<Pattern> FilterClosed(std::vector<Pattern> patterns) {
   return closed;
 }
 
+MineResult MineMaximalGSpan(CsrDatabase db, const MinerConfig& config) {
+  MineResult result = MineFrequentGSpan(db, config);
+  result.patterns = FilterMaximal(std::move(result.patterns));
+  return result;
+}
+
 MineResult MineMaximalGSpan(const graph::GraphDatabase& db,
                             const MinerConfig& config) {
   MineResult result = MineFrequentGSpan(db, config);

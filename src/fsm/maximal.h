@@ -20,7 +20,9 @@ std::vector<Pattern> FilterMaximal(std::vector<Pattern> patterns);
 std::vector<Pattern> FilterClosed(std::vector<Pattern> patterns);
 
 // Convenience used by GraphSig's last stage (Algorithm 2, line 13):
-// complete gSpan mining followed by the maximality filter.
+// complete gSpan mining followed by the maximality filter. The
+// GraphDatabase overload flattens `db` first (MineFrequentGSpan).
+MineResult MineMaximalGSpan(CsrDatabase db, const MinerConfig& config);
 MineResult MineMaximalGSpan(const graph::GraphDatabase& db,
                             const MinerConfig& config);
 

@@ -3,8 +3,10 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
+#include "graph/csr.h"
 #include "graph/graph_database.h"
 
 namespace graphsig::fsm {
@@ -51,6 +53,10 @@ struct MineResult {
 // percentage thresholds ("theta") to absolute support.
 int64_t SupportFromPercent(double percent, size_t db_size);
 
+// A database as borrowed CSRs: slot i is database graph i, and the
+// pointed-to graphs outlive the mining call. Reported gids index slots.
+using CsrDatabase = std::span<const graph::CsrGraph* const>;
+
 // Pattern-growth miner (gSpan: minimum DFS codes + rightmost-path
 // extension over projected embeddings). Each search state scans its
 // embeddings once, in database order:
@@ -67,6 +73,10 @@ int64_t SupportFromPercent(double percent, size_t db_size);
 //     IsMinimalDfsCode before it is expanded or reported.
 // Patterns are reported in DFS-search order, which downstream unstable
 // sorts (FilterMaximal, the final ranking) make part of the output.
+// The engine reads only the borrowed CSRs; GraphSig's region tasks pass
+// the per-mine flattenings of their cuts (core/mine_pipeline.h).
+MineResult MineFrequentGSpan(CsrDatabase db, const MinerConfig& config);
+// Flattens every graph of `db` (one graph/csr_builds each) and forwards.
 MineResult MineFrequentGSpan(const graph::GraphDatabase& db,
                              const MinerConfig& config);
 

@@ -25,6 +25,9 @@ namespace graphsig::graph {
 // graph/csr_builds.
 class CsrGraph {
  public:
+  // The empty graph; counts no build. Lets callers pre-size a vector of
+  // slots and fill it in parallel.
+  CsrGraph() : offsets_(1, 0) {}
   explicit CsrGraph(const Graph& g);
 
   int32_t num_vertices() const {

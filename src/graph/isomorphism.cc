@@ -9,6 +9,23 @@
 namespace graphsig::graph {
 namespace {
 
+// Matcher buffers, one set per thread, reused by every match run on it:
+// after the first few calls `assign` stays within capacity, so a match
+// allocates nothing. A run never starts another run on the same thread,
+// so one set suffices.
+struct MatcherScratch {
+  std::vector<VertexId> order;
+  std::vector<VertexId> pattern_to_target;
+  std::vector<uint8_t> target_used;
+  std::vector<uint8_t> placed;
+  std::vector<int32_t> label_count;
+};
+
+MatcherScratch& ThreadScratch() {
+  thread_local MatcherScratch scratch;
+  return scratch;
+}
+
 // Shared backtracking state for one (pattern, target) match run over
 // borrowed CSRs, so the inner feasibility / candidate loops walk
 // contiguous half-edge arrays (DESIGN.md §14). Callers that match one
@@ -19,8 +36,12 @@ class Matcher {
       : pattern_(pattern),
         target_(target),
         limit_(limit),
-        pattern_to_target_(pattern.num_vertices(), -1),
-        target_used_(target.num_vertices(), false) {
+        scratch_(ThreadScratch()),
+        order_(scratch_.order),
+        pattern_to_target_(scratch_.pattern_to_target),
+        target_used_(scratch_.target_used) {
+    pattern_to_target_.assign(pattern.num_vertices(), -1);
+    target_used_.assign(target.num_vertices(), 0);
     BuildOrder();
   }
 
@@ -57,15 +78,17 @@ class Matcher {
     const int n = pattern_.num_vertices();
     // Target vertices sharing each pattern vertex's label. Patterns are
     // small, so a direct count beats building a label histogram per run.
-    std::vector<int> label_count(n, 0);
+    std::vector<int32_t>& label_count = scratch_.label_count;
+    label_count.assign(n, 0);
     for (VertexId v = 0; v < n; ++v) {
       const Label label = pattern_.vertex_label(v);
       for (Label l : target_.vertex_labels()) label_count[v] += l == label;
     }
     auto rarity = [&](VertexId v) { return label_count[v]; };
 
-    std::vector<bool> placed(n, false);
-    order_.reserve(n);
+    std::vector<uint8_t>& placed = scratch_.placed;
+    placed.assign(n, 0);
+    order_.clear();
     while (static_cast<int>(order_.size()) < n) {
       // Prefer a frontier vertex (adjacent to placed ones) with max
       // placed-degree, tie-broken by rarity; otherwise seed a component.
@@ -99,7 +122,7 @@ class Matcher {
           }
         }
       }
-      placed[best] = true;
+      placed[best] = 1;
       order_.push_back(best);
     }
   }
@@ -155,18 +178,19 @@ class Matcher {
   void TryMap(VertexId pv, VertexId tv, size_t depth) {
     if (!Feasible(pv, tv)) return;
     pattern_to_target_[pv] = tv;
-    target_used_[tv] = true;
+    target_used_[tv] = 1;
     Extend(depth + 1);
     pattern_to_target_[pv] = -1;
-    target_used_[tv] = false;
+    target_used_[tv] = 0;
   }
 
   const CsrGraph& pattern_;
   const CsrGraph& target_;
   const uint64_t limit_;
-  std::vector<VertexId> order_;
-  std::vector<VertexId> pattern_to_target_;
-  std::vector<bool> target_used_;
+  MatcherScratch& scratch_;
+  std::vector<VertexId>& order_;
+  std::vector<VertexId>& pattern_to_target_;
+  std::vector<uint8_t>& target_used_;
   std::vector<VertexId>* capture_ = nullptr;
   std::vector<std::vector<VertexId>>* collect_ = nullptr;
   uint64_t found_ = 0;

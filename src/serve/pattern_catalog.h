@@ -11,23 +11,23 @@
 //   1. an inverted index keyed on each pattern's rarest vertex label
 //      (rarest over the indexed database), so a query only considers
 //      patterns whose anchor label it actually contains;
-//   2. per-pattern signatures — vertex/edge counts, the edge-type
-//      multiset (endpoint labels + bond label), and per-vertex-label
-//      sorted degree sequences — that must all be dominated by the
-//      query's.
+//   2. per-pattern containment signatures (graph/signature.h): vertex
+//      and edge counts, the edge-type multiset (endpoint labels + bond
+//      label), and per-vertex-label sorted degree sequences, all of
+//      which must be dominated by the query's.
 // Both layers are necessary conditions for containment, so the matched
 // set is identical to brute-force scanning (asserted in serve tests).
 
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <tuple>
 #include <vector>
 
 #include "approx/estimators.h"
 #include "classify/sig_knn.h"
 #include "graph/csr.h"
 #include "graph/graph.h"
+#include "graph/signature.h"
 #include "model/artifact.h"
 #include "util/status.h"
 #include "util/sync.h"
@@ -124,17 +124,11 @@ struct ServingStats {
 
 class PatternCatalog {
  public:
-  // The query-side half of the containment signature: what one graph
-  // offers, precomputed once so it can be tested against many pattern
-  // signatures (and, for a sharded catalog, against many anchor slices
-  // without rebuilding).
-  struct QueryProfile {
-    int32_t num_vertices = 0;
-    int32_t num_edges = 0;
-    std::map<std::tuple<graph::Label, graph::Label, graph::Label>, int32_t>
-        edge_type_counts;
-    std::map<graph::Label, std::vector<int32_t>> degrees_by_label;
-  };
+  // What one query graph offers the containment test: the graph-layer
+  // signature (graph/signature.h), built once per query so it can be
+  // tested against many pattern signatures (and, for a sharded catalog,
+  // against many anchor slices without rebuilding).
+  using QueryProfile = graph::ContainmentSignature;
 
   // The match work of one anchor slice: pattern ids that passed the
   // exact isomorphism test (in slice iteration order, NOT sorted) plus
@@ -154,7 +148,9 @@ class PatternCatalog {
   // LoadArtifact + FromArtifact.
   static util::Result<PatternCatalog> LoadFromFile(const std::string& path);
 
-  static QueryProfile BuildProfile(const graph::Graph& g);
+  static QueryProfile BuildProfile(const graph::Graph& g) {
+    return graph::BuildContainmentSignature(g);
+  }
 
   // Runs the index/signature/isomorphism cascade for the patterns in
   // `anchors` only (any subset of patterns_by_anchor(), e.g. one
@@ -228,31 +224,6 @@ class PatternCatalog {
  private:
   PatternCatalog() = default;
 
-  // An edge type: endpoint labels normalized a <= b, plus the edge
-  // label.
-  using EdgeTypeKey = std::tuple<graph::Label, graph::Label, graph::Label>;
-
-  // Monotone containment signature of one catalog pattern: every field
-  // of a contained pattern is dominated by the corresponding field of
-  // the containing graph. A monomorphism maps each pattern vertex to a
-  // same-labeled query vertex of >= degree and each pattern edge to a
-  // distinct query edge of the same type, so label-wise descending
-  // degree sequences and edge-type counts must all be dominated.
-  struct PatternSignature {
-    int32_t num_vertices = 0;
-    int32_t num_edges = 0;
-    // (edge type, count), ascending by type.
-    std::vector<std::pair<EdgeTypeKey, int32_t>> edge_type_counts;
-    // Per vertex label, the degrees of that label's vertices sorted
-    // descending; ascending by label.
-    std::vector<std::pair<graph::Label, std::vector<int32_t>>>
-        degrees_by_label;
-  };
-
-  static PatternSignature BuildSignature(const graph::Graph& g);
-  static bool SignatureDominated(const PatternSignature& pattern,
-                                 const QueryProfile& query);
-
   // Heap-allocated so PatternCatalog stays movable (util::Mutex is not);
   // concurrent QueryBatch workers all aggregate into this one object.
   struct Counters {
@@ -262,7 +233,8 @@ class PatternCatalog {
 
   model::ModelArtifact artifact_;
   classify::GraphSigClassifier classifier_;
-  std::vector<PatternSignature> signatures_;
+  // signatures_[i] is catalog()[i]'s containment signature.
+  std::vector<graph::ContainmentSignature> signatures_;
   // pattern_csrs_[i] is catalog()[i]'s adjacency, built once at load so
   // VF2 never re-flattens a pattern per query.
   std::vector<graph::CsrGraph> pattern_csrs_;

@@ -226,9 +226,13 @@ core::GraphSigResult IncrementalMiner::Mine(
     result.stats.num_unique_regions = plan.num_unique_regions;
 
     // Cuts: serve from the generation-keyed cache, compute the misses
-    // in parallel (cuts bump no work counters, so skipping recomputes
-    // is counter-transparent by construction).
-    std::vector<graph::Graph> cuts(plan.cut_owner.size());
+    // (cuts bump no work counters, so skipping recomputes is
+    // counter-transparent by construction). Every planned cut, hit or
+    // miss, is then flattened once, outside any capture, exactly as a
+    // cold mine flattens it: cached FSM deltas carry no CSR builds.
+    std::vector<graph::CsrGraph> region_csrs(plan.cut_owner.size());
+    std::vector<graph::Graph> fresh_cuts(plan.cut_owner.size());
+    std::vector<const graph::Graph*> cached_cuts(plan.cut_owner.size());
     std::vector<RegionCutCache::Key> keys(plan.cut_owner.size());
     std::vector<size_t> missing;
     for (size_t i = 0; i < plan.cut_owner.size(); ++i) {
@@ -236,21 +240,28 @@ core::GraphSigResult IncrementalMiner::Mine(
       keys[i] = RegionCutCache::Key{
           state_.graph_generations[nv.graph_index], nv.graph_index,
           nv.node};
-      if (const graph::Graph* hit = cut_cache_.Lookup(keys[i])) {
-        cuts[i] = *hit;
+      cached_cuts[i] = cut_cache_.Lookup(keys[i]);
+      if (cached_cuts[i] != nullptr) {
         ++acct.cuts_reused;
       } else {
         missing.push_back(i);
       }
     }
-    util::ParallelFor(config_.num_threads, missing.size(), [&](size_t m) {
-      const size_t i = missing[m];
-      const NodeVector& nv = state_.node_vectors[plan.cut_owner[i]];
-      cuts[i] = core::pipeline::CutRegion(db.graph(nv.graph_index),
-                                          nv.graph_index, nv.node,
-                                          config_.cutoff_radius);
-    });
-    for (size_t i : missing) cut_cache_.Insert(keys[i], cuts[i]);
+    util::ParallelFor(
+        config_.num_threads, plan.cut_owner.size(), [&](size_t i) {
+          if (cached_cuts[i] != nullptr) {
+            region_csrs[i] = graph::CsrGraph(*cached_cuts[i]);
+            return;
+          }
+          const NodeVector& nv = state_.node_vectors[plan.cut_owner[i]];
+          fresh_cuts[i] = core::pipeline::CutRegion(
+              db.graph(nv.graph_index), nv.graph_index, nv.node,
+              config_.cutoff_radius);
+          region_csrs[i] = graph::CsrGraph(fresh_cuts[i]);
+        });
+    for (size_t i : missing) {
+      cut_cache_.Insert(keys[i], std::move(fresh_cuts[i]));
+    }
     acct.cuts_computed = static_cast<int64_t>(missing.size());
 
     // Region mining: a cached (group, candidate) entry is replayed; the
@@ -275,18 +286,12 @@ core::GraphSigResult IncrementalMiner::Mine(
     util::ParallelFor(config_.num_threads, to_run.size(), [&](size_t i) {
       const size_t t = to_run[i];
       const core::pipeline::RegionTask& task = plan.tasks[t];
-      const fvmine::SignificantVector& sv =
-          significant[task.sv_index].second;
-      GraphDatabase regions;
-      regions.Reserve(task.chosen.size());
-      for (int32_t vector_index : task.chosen) {
-        const NodeVector& nv = state_.node_vectors[vector_index];
-        regions.Add(cuts[plan.cut_slot.at(
-            core::pipeline::RegionCutKey(nv.graph_index, nv.node))]);
-      }
+      const std::vector<const graph::CsrGraph*> regions =
+          core::pipeline::TaskRegions(plan, task, state_.node_vectors,
+                                      region_csrs);
       obs::WorkCapture capture;
-      outputs[t] = core::pipeline::MineRegionTask(config_, task.label, sv,
-                                                  regions);
+      outputs[t] = core::pipeline::MineRegionTask(
+          config_, task.label, significant[task.sv_index].second, regions);
       const auto [g, c] = origin[task.sv_index];
       GroupFsmEntry& entry = new_groups[g].fsm[c];
       entry.delta = capture.Take();

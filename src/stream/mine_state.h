@@ -35,9 +35,11 @@ namespace graphsig::stream {
 // replays the work counts of that code. Bump this whenever a change
 // alters what a unit counts (v2: CSR-sharing VF2 and support-before-
 // allocation gSpan changed graph/csr_builds and
-// gspan/embeddings_arena_bytes). DecodeMineState rejects every other
-// version as kFailedPrecondition, and Restore then starts cold.
-inline constexpr uint32_t kMineStateVersion = 2;
+// gspan/embeddings_arena_bytes; v3: region CSRs are built once per
+// distinct cut outside any capture, so region-FSM deltas no longer
+// carry graph/csr_builds). DecodeMineState rejects every other version
+// as kFailedPrecondition, and Restore then starts cold.
+inline constexpr uint32_t kMineStateVersion = 3;
 
 // Cached graph-space mining of one feature-vector candidate (the
 // pipeline::MineRegionTask output for candidate `i` of a group).

@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <numeric>
 
+#include "data/datasets.h"
 #include "features/feature_space.h"
 #include "features/feature_vector.h"
 #include "features/packed_vector_set.h"
 #include "features/rwr.h"
 #include "features/selection.h"
+#include "graph/csr.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace graphsig::features {
@@ -365,6 +370,243 @@ TEST(RwrTest, CountFeaturizerIgnoresProximity) {
   auto from0 = CountFeatureDistribution(g, 0, fs, 0);
   auto from3 = CountFeatureDistribution(g, 3, fs, 0);
   EXPECT_EQ(from0, from3);  // whole-graph counts are source-independent
+}
+
+// ---------------------------------------------------------------------
+// Block RWR: every column of the block kernel must reproduce the
+// one-source power iteration bit for bit, counters included.
+
+// The one-source unconfined power iteration, written out as the walk was
+// before sources were iterated in blocks: the reference the block kernel
+// must reproduce bit for bit, with its rwr/* tallies.
+struct ReferenceWalk {
+  std::vector<double> p;
+  uint64_t iterations = 0;
+  uint64_t float_ops = 0;
+};
+
+ReferenceWalk ReferenceRwr(const Graph& g, VertexId source,
+                           const RwrConfig& config) {
+  const double alpha = config.restart_prob;
+  ReferenceWalk out;
+  out.p.assign(g.num_vertices(), 0.0);
+  out.p[source] = 1.0;
+  std::vector<double> next(g.num_vertices(), 0.0);
+  for (int iter = 0; iter < config.max_iterations; ++iter) {
+    ++out.iterations;
+    std::fill(next.begin(), next.end(), 0.0);
+    double dangling = 0.0;
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      if (out.p[v] == 0.0) continue;
+      const int degree = g.degree(v);
+      if (degree == 0) {
+        dangling += out.p[v];
+        ++out.float_ops;
+        continue;
+      }
+      const double share = (1.0 - alpha) * out.p[v] / degree;
+      out.float_ops += 2 + static_cast<uint64_t>(degree);
+      for (const graph::AdjEntry& adj : g.neighbors(v)) {
+        next[adj.to] += share;
+      }
+    }
+    next[source] += alpha * (1.0 - dangling) + dangling;
+    double delta = 0.0;
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      delta += std::abs(next[v] - out.p[v]);
+    }
+    out.float_ops += 2 * static_cast<uint64_t>(g.num_vertices());
+    out.p.swap(next);
+    if (delta < config.epsilon) break;
+  }
+  return out;
+}
+
+struct RwrCounters {
+  uint64_t sources = 0;
+  uint64_t iterations = 0;
+  uint64_t float_ops = 0;
+
+  static RwrCounters Now() {
+    auto& registry = obs::MetricsRegistry::Global();
+    return {registry.GetCounter("rwr/sources")->value(),
+            registry.GetCounter("rwr/power_iterations")->value(),
+            registry.GetCounter("rwr/float_ops")->value()};
+  }
+  RwrCounters Since(const RwrCounters& start) const {
+    return {sources - start.sources, iterations - start.iterations,
+            float_ops - start.float_ops};
+  }
+  bool operator==(const RwrCounters&) const = default;
+};
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// Checks RwrAllSources and both single-source overloads against the
+// reference on every source of `g`: memcmp-equal distributions and equal
+// rwr/* deltas.
+void ExpectBlockMatchesReference(const Graph& g, const RwrConfig& config) {
+  RwrCounters expected;
+  std::vector<ReferenceWalk> reference;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    reference.push_back(ReferenceRwr(g, v, config));
+    ++expected.sources;
+    expected.iterations += reference.back().iterations;
+    expected.float_ops += reference.back().float_ops;
+  }
+  const graph::CsrGraph csr(g);
+
+  RwrCounters start = RwrCounters::Now();
+  std::vector<std::vector<double>> block(g.num_vertices());
+  std::vector<int> emitted(g.num_vertices(), 0);
+  RwrAllSources(csr, config, [&](VertexId v, const std::vector<double>& p) {
+    ++emitted[v];
+    block[v] = p;
+  });
+  EXPECT_EQ(RwrCounters::Now().Since(start), expected);
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    EXPECT_EQ(emitted[v], 1) << "source " << v;
+    EXPECT_TRUE(SameBits(block[v], reference[v].p)) << "source " << v;
+  }
+
+  start = RwrCounters::Now();
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    EXPECT_TRUE(
+        SameBits(RwrStationaryDistribution(g, v, config), reference[v].p))
+        << "Graph overload, source " << v;
+    EXPECT_TRUE(
+        SameBits(RwrStationaryDistribution(csr, v, config), reference[v].p))
+        << "CsrGraph overload, source " << v;
+  }
+  const RwrCounters twice = RwrCounters::Now().Since(start);
+  EXPECT_EQ(twice.sources, 2 * expected.sources);
+  EXPECT_EQ(twice.iterations, 2 * expected.iterations);
+  EXPECT_EQ(twice.float_ops, 2 * expected.float_ops);
+}
+
+Graph RandomLabeledGraph(uint64_t seed, int n, int extra_edges) {
+  util::Rng rng(seed);
+  Graph g;
+  for (int i = 0; i < n; ++i) {
+    g.AddVertex(static_cast<Label>(rng.NextBounded(4)));
+  }
+  for (int i = 1; i < n; ++i) {
+    g.AddEdge(static_cast<VertexId>(rng.NextBounded(i)), i,
+              static_cast<Label>(rng.NextBounded(2)));
+  }
+  for (int k = 0; k < extra_edges; ++k) {
+    const auto u = static_cast<VertexId>(rng.NextBounded(n));
+    const auto v = static_cast<VertexId>(rng.NextBounded(n));
+    if (u == v || g.HasEdge(u, v)) continue;
+    g.AddEdge(u, v, static_cast<Label>(rng.NextBounded(2)));
+  }
+  return g;
+}
+
+TEST(RwrBlockTest, IsolatedVertexMatchesReference) {
+  Graph g;
+  for (int i = 0; i < 4; ++i) g.AddVertex(i % 2);
+  g.AddEdge(0, 1, 0);
+  g.AddEdge(1, 2, 1);  // vertex 3 has no edges
+  ExpectBlockMatchesReference(g, RwrConfig{});
+}
+
+TEST(RwrBlockTest, DisconnectedGraphMatchesReference) {
+  // A triangle, a 5-path and an isolated vertex: columns of one block
+  // walk different components.
+  Graph g;
+  for (int i = 0; i < 9; ++i) g.AddVertex(i % 3);
+  g.AddEdge(0, 1, 0);
+  g.AddEdge(1, 2, 0);
+  g.AddEdge(2, 0, 1);
+  for (int i = 3; i < 7; ++i) g.AddEdge(i, i + 1, 0);
+  ExpectBlockMatchesReference(g, RwrConfig{});
+}
+
+TEST(RwrBlockTest, SingleVertexGraphMatchesReference) {
+  Graph g;
+  g.AddVertex(2);
+  ExpectBlockMatchesReference(g, RwrConfig{});
+}
+
+TEST(RwrBlockTest, GraphWiderThanOneBlockMatchesReference) {
+  // More sources than one block holds, so columns are refilled as they
+  // converge; varied degrees make columns converge at different steps.
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ExpectBlockMatchesReference(RandomLabeledGraph(seed, 37, 12),
+                                RwrConfig{});
+  }
+}
+
+TEST(RwrBlockTest, IterationCapBeforeConvergenceMatchesReference) {
+  const Graph g = RandomLabeledGraph(9, 21, 6);
+  for (int cap : {0, 1, 3, 17}) {
+    SCOPED_TRACE("max_iterations " + std::to_string(cap));
+    RwrConfig config;
+    config.max_iterations = cap;
+    ExpectBlockMatchesReference(g, config);
+  }
+  // The cap must actually cut the walk short of convergence.
+  RwrConfig capped;
+  capped.max_iterations = 3;
+  EXPECT_EQ(ReferenceRwr(g, 0, capped).iterations, 3u);
+  EXPECT_GT(ReferenceRwr(g, 0, RwrConfig{}).iterations, 3u);
+}
+
+// FNV-1a over every node vector's provenance and slot values.
+uint64_t HashVectors(const std::vector<NodeVector>& vectors) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&](int64_t x) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= static_cast<uint8_t>(x >> (8 * b));
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const NodeVector& nv : vectors) {
+    mix(nv.graph_index);
+    mix(nv.node);
+    mix(nv.node_label);
+    for (int16_t v : nv.values) mix(v);
+  }
+  return h;
+}
+
+// Featurization of two seeded screens, pinned to hashes recorded with
+// the one-source power iteration (radius 0 runs the block kernel, radius
+// 3 the confined walk).
+TEST(RwrBlockTest, DatabaseToVectorsIsPinned) {
+  struct Case {
+    const char* screen;
+    int radius;
+    uint64_t hash;
+  };
+  const Case kCases[] = {
+      {"MCF-7", 0, 0x7806bb976ee3beebull},
+      {"MCF-7", 3, 0xdfb3c7f6026fa1e1ull},
+      {"UACC-257", 0, 0x21d965d355aa697aull},
+      {"UACC-257", 3, 0x15921efd69e59256ull},
+  };
+  for (const Case& c : kCases) {
+    data::DatasetOptions options;
+    options.size = 60;
+    options.seed = 3;
+    options.active_fraction = 0.3;
+    const GraphDatabase db = data::MakeCancerScreen(c.screen, options);
+    const FeatureSpace space = FeatureSpace::ForChemicalDatabase(db, 5);
+    RwrConfig config;
+    config.radius = c.radius;
+    for (int threads : {1, 4}) {
+      const uint64_t h =
+          HashVectors(DatabaseToVectors(db, space, config, threads));
+      EXPECT_EQ(h, c.hash) << c.screen << " radius " << c.radius
+                           << " threads " << threads << ": 0x" << std::hex
+                           << h;
+    }
+  }
 }
 
 TEST(SelectionTest, CumulativeCoverageEndsAtHundred) {
