@@ -125,6 +125,9 @@ struct GraphSigResult {
   features::FeatureSpace feature_space;
 };
 
+struct MineCache;       // core/mine_cache.h
+struct MineCacheStats;  // core/mine_cache.h
+
 // The GraphSig miner. Stateless between calls; one instance can mine
 // many databases.
 class GraphSig {
@@ -133,7 +136,18 @@ class GraphSig {
 
   // Runs Algorithm 2 over `db` and returns the significant subgraphs,
   // deduplicated by canonical form (keeping the lowest vector p-value).
-  GraphSigResult Mine(const graph::GraphDatabase& db) const;
+  //
+  // With a `cache` (core/mine_cache.h) every unit of work — a graph's
+  // featurization, a label group's FVMine, a region cut, a region
+  // set's FSM — whose inputs are unchanged since the mine that stored
+  // it is reused and its captured work replayed; the rest run and are
+  // stored. The result and the deterministic counter dump equal the
+  // cold mine's. `cache_stats`, if given, is overwritten with this
+  // mine's reuse accounting. Without a cache nothing is captured or
+  // stored.
+  GraphSigResult Mine(const graph::GraphDatabase& db,
+                      MineCache* cache = nullptr,
+                      MineCacheStats* cache_stats = nullptr) const;
 
   // Runs only the feature-space half (RWR + grouping + FVMine): the
   // significant sub-feature vectors per anchor label. This is what the

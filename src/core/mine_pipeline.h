@@ -2,13 +2,15 @@
 #define GRAPHSIG_CORE_MINE_PIPELINE_H_
 
 // The GraphSig mining pipeline, decomposed into its deterministic units
-// of work. core::GraphSig::Mine composes these into the cold full mine
-// of Algorithm 2; stream::IncrementalMiner composes the *same*
-// functions per unit so it can cache a unit's output (plus its captured
-// work-counter delta, obs/work_capture.h) and replay it instead of
-// recomputing — which is what makes an incremental mine byte-identical,
-// artifact and counter dump both, to a cold re-mine of the final
-// database.
+// of work. core::GraphSig::Mine (core/graphsig.cc) is the one
+// orchestration that composes them into Algorithm 2. Given a
+// core::MineCache (core/mine_cache.h) it reuses a unit whose inputs are
+// unchanged — replaying the work-counter delta (obs/work_capture.h)
+// captured when the unit first ran — and runs the rest under capture;
+// without one it just runs every unit. That is what makes a cached mine
+// byte-identical, artifact and counter dump both, to a cold mine of the
+// same database. perfbench recomposes the same functions with a span
+// per layer.
 //
 // Every function here is a pure function of its arguments (plus the
 // deterministic work counters it bumps); none touches global state
@@ -17,7 +19,7 @@
 // single-threaded, which is what makes their metric writes capturable
 // per unit. The one exception is the per-mine flattening of region cuts
 // (see RegionPlan): it runs outside any capture, so cached units carry
-// no CSR builds and both miners count one build per distinct cut.
+// no CSR builds and every mine counts one build per distinct cut.
 
 #include <cstdint>
 #include <map>
@@ -68,9 +70,10 @@ struct RegionTask {
 // tasks need. `cut_slot` maps RegionCutKey -> slot, `cut_owner` maps
 // slot -> node-vector index to cut at.
 //
-// Miners make (or fetch) each slot's cut and flatten it to one
-// graph::CsrGraph per slot, once per mine and outside any work capture;
-// every task that selects the cut borrows that CSR (TaskRegions).
+// GraphSig::Mine makes (or fetches from its cache) each slot's cut and
+// flattens it to one graph::CsrGraph per slot, once per mine and outside
+// any work capture; every task that selects the cut borrows that CSR
+// (TaskRegions).
 struct RegionPlan {
   std::vector<RegionTask> tasks;
   std::unordered_map<int64_t, int32_t> cut_slot;

@@ -59,10 +59,14 @@ namespace internal {
 // Per-thread capture hook (obs/work_capture.h). When a WorkCapture is
 // live on this thread, every deterministic metric write also lands in
 // its frame so the delta can be persisted and replayed later — the
-// mechanism the incremental miner uses to keep cached work
+// mechanism a cached mine uses to keep reused work
 // counter-transparent. Null (one TLS load, no branch taken) otherwise.
+// constinit on both declaration and definition: other translation
+// units then read the pointer directly instead of through the
+// dynamic-initialization TLS wrapper, whose result GCC's
+// -fsanitize=undefined checks as a null pointer load and aborts on.
 struct CaptureFrame;
-extern thread_local CaptureFrame* tls_capture_frame;
+extern constinit thread_local CaptureFrame* tls_capture_frame;
 void CaptureCounterWrite(Counter* counter, uint64_t n);
 void CaptureSpanWrite(SpanStats* span, uint64_t calls, uint64_t work);
 }  // namespace internal

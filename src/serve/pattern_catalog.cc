@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "graph/isomorphism.h"
 #include "obs/metrics.h"
-#include "util/parallel.h"
 #include "util/strings.h"
-#include "util/timer.h"
 
 namespace graphsig::serve {
 
@@ -114,56 +111,6 @@ PatternCatalog::AnchorMatches PatternCatalog::MatchAnchors(
   return out;
 }
 
-QueryResult PatternCatalog::Query(const graph::Graph& query,
-                                  const CatalogQueryConfig& config) const {
-  util::WallTimer timer;
-  QueryResult result;
-  if (config.compute_matches && !signatures_.empty()) {
-    const QueryProfile profile = BuildProfile(query);
-    AnchorMatches matches =
-        MatchAnchors(graph::CsrGraph(query), profile, patterns_by_anchor_);
-    result.matched_patterns = std::move(matches.matched_patterns);
-    result.iso_calls = matches.iso_calls;
-    // Patterns whose anchor label the query lacks count as pruned too:
-    // the index skipped them without even touching their signature.
-    result.pruned =
-        static_cast<int32_t>(signatures_.size()) - result.iso_calls;
-    std::sort(result.matched_patterns.begin(),
-              result.matched_patterns.end());
-  }
-  if (config.compute_score && has_classifier()) {
-    result.score = classifier_.Score(query);
-    result.has_score = true;
-  }
-  result.latency_ms = timer.ElapsedMillis();
-  {
-    // Per-query totals are pure functions of (query, catalog), so the
-    // registry copies are deterministic work counters; the latency
-    // histogram is advisory (DESIGN.md §12). ShardedCatalog flushes the
-    // same names from its own fan-out/merge path, so the dumped totals
-    // are invariant in the shard count as well as the thread count.
-    auto& registry = obs::MetricsRegistry::Global();
-    static obs::Counter* const queries =
-        registry.GetCounter("serve/queries");
-    static obs::Counter* const iso_calls =
-        registry.GetCounter("serve/iso_calls");
-    static obs::Counter* const pruned = registry.GetCounter("serve/pruned");
-    static obs::Counter* const matches =
-        registry.GetCounter("serve/pattern_matches");
-    static obs::Histogram* const latency_us = registry.GetHistogram(
-        "serve/query_latency_us",
-        {50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000, 100000,
-         500000});
-    queries->Increment();
-    iso_calls->Add(static_cast<uint64_t>(result.iso_calls));
-    pruned->Add(static_cast<uint64_t>(result.pruned));
-    matches->Add(result.matched_patterns.size());
-    latency_us->Observe(static_cast<uint64_t>(result.latency_ms * 1000.0));
-  }
-  AggregateServingStats(result);
-  return result;
-}
-
 void PatternCatalog::AggregateServingStats(const QueryResult& result) const {
   util::MutexLock lock(&counters_->mutex);
   ServingStats& stats = counters_->stats;
@@ -233,20 +180,6 @@ ServingStats PatternCatalog::Snapshot() const {
 void PatternCatalog::ResetStats() const {
   util::MutexLock lock(&counters_->mutex);
   counters_->stats = ServingStats{};
-}
-
-std::vector<QueryResult> PatternCatalog::QueryBatch(
-    const std::vector<graph::Graph>& queries,
-    const CatalogQueryConfig& config) const {
-  const int threads =
-      config.num_threads == 0 ? util::HardwareThreads() : config.num_threads;
-  std::vector<QueryResult> results(queries.size());
-  // Each query writes only its own slot, so the batch is deterministic;
-  // the claim loops run on the shared persistent pool.
-  util::ParallelFor(threads, queries.size(), [&](size_t i) {
-    results[i] = Query(queries[i], config);
-  });
-  return results;
 }
 
 }  // namespace graphsig::serve

@@ -2,9 +2,12 @@
 #define GRAPHSIG_SERVE_PATTERN_CATALOG_H_
 
 // The online half of the offline-index/online-query split: PatternCatalog
-// loads a model artifact (src/model/) once and then answers per-molecule
-// queries — "which significant patterns does this graph contain, and what
-// is its k-NN activity score?" — without touching the miner.
+// loads a model artifact (src/model/) once and holds the immutable
+// serving indexes that answer per-molecule queries — "which significant
+// patterns does this graph contain, and what is its k-NN activity
+// score?" — without touching the miner. Exact queries run through
+// ShardedCatalog (serve/sharded_catalog.h), with one shard when the
+// catalog is not partitioned.
 //
 // Pattern matching is exact subgraph isomorphism, but most catalog
 // patterns are rejected before any isomorphism call by two cheap layers:
@@ -34,8 +37,10 @@
 
 namespace graphsig::serve {
 
+// Options of one exact query (ShardedCatalog::Query/QueryBatch).
 struct CatalogQueryConfig {
-  // Worker threads for QueryBatch; 0 = util::HardwareThreads().
+  // Worker threads for QueryBatch (and a sharded Query's fan-out);
+  // 0 = util::HardwareThreads().
   int num_threads = 0;
   // Skip the pattern-matching half (score only) or the k-NN score
   // (matches only).
@@ -105,9 +110,9 @@ struct ApproxResult {
   uint64_t db_size = 0;
 };
 
-// Cumulative serving telemetry across every Query()/QueryBatch() call on
+// Cumulative serving telemetry across every exact query answered from
 // one catalog — the counters a long-lived server exports. Snapshot via
-// PatternCatalog::stats().
+// PatternCatalog::Snapshot().
 struct ServingStats {
   int64_t queries = 0;
   double total_latency_ms = 0.0;
@@ -172,23 +177,9 @@ class PatternCatalog {
   }
 
   // Folds one finished query into the cumulative ServingStats (the
-  // mutex-guarded aggregate Snapshot() reads). ShardedCatalog calls
-  // this from its merge step so sharded and unsharded serving report
-  // through one set of totals.
+  // mutex-guarded aggregate Snapshot() reads). ShardedCatalog, the one
+  // exact-query path, calls this from its merge step.
   void AggregateServingStats(const QueryResult& result) const;
-
-  // Answers one query. Thread-safe: the catalog is immutable after
-  // construction.
-  QueryResult Query(const graph::Graph& query,
-                    const CatalogQueryConfig& config = {}) const;
-
-  // Answers a batch in parallel (util::ParallelFor over queries, which
-  // fans out on the persistent global ThreadPool — back-to-back batches
-  // pay no thread spawn/join cost). Results are positionally aligned
-  // with `queries` and identical to serial Query() calls.
-  std::vector<QueryResult> QueryBatch(
-      const std::vector<graph::Graph>& queries,
-      const CatalogQueryConfig& config = {}) const;
 
   // Answers one approximate query (the wire's ApproxQuery class) over
   // the indexed database. Deterministic for a fixed config; increments
@@ -198,7 +189,7 @@ class PatternCatalog {
 
   // Atomic snapshot of the cumulative counters: one lock acquisition
   // copies the whole aggregate set, so a reader interleaving with
-  // concurrent Query() writers can never observe a torn mix (e.g. a new
+  // concurrent query writers can never observe a torn mix (e.g. a new
   // `queries` count with an old `total_latency_ms`). Both the
   // graphsig_query exit summary and the server's Stats RPC read through
   // this.
@@ -225,7 +216,7 @@ class PatternCatalog {
   PatternCatalog() = default;
 
   // Heap-allocated so PatternCatalog stays movable (util::Mutex is not);
-  // concurrent QueryBatch workers all aggregate into this one object.
+  // concurrent query workers all aggregate into this one object.
   struct Counters {
     mutable util::Mutex mutex;
     ServingStats stats GS_GUARDED_BY(mutex);

@@ -113,9 +113,12 @@ QueryResult ShardedCatalog::Query(const graph::Graph& query,
   }
   result.latency_ms = timer.ElapsedMillis();
   {
-    // The query-level counters flush once at the merge (iso_calls and
-    // pattern_matches already flushed per shard) — the same five
-    // metric names PatternCatalog::Query writes, with the same totals.
+    // Per-query totals are pure functions of (query, catalog), so the
+    // registry copies are deterministic work counters; the latency
+    // histogram is advisory (DESIGN.md §12). The query-level counters
+    // flush once at the merge (iso_calls and pattern_matches already
+    // flushed per shard), so every total is invariant in the shard
+    // count as well as the thread count.
     auto& registry = obs::MetricsRegistry::Global();
     static obs::Counter* const queries =
         registry.GetCounter("serve/queries");

@@ -10,9 +10,10 @@
 // twice, none is missed, and per-shard match sets are disjoint. A
 // query fans out to one MatchAnchors() slice per shard and the merge
 // concatenates in shard-index order before the final ascending sort,
-// so the reply is byte-identical to the unsharded catalog for any
+// so the reply is byte-identical to the one-shard answer for any
 // shard count and any fan-out width (tests/sharded_catalog_test.cc
-// asserts this against shards ∈ {1,2,4,8} × threads ∈ {1,4}).
+// asserts this against shards ∈ {1,2,4,8} × threads ∈ {1,4}). It is
+// the only exact-query path: an unpartitioned catalog is one shard.
 //
 // The partition itself is deterministic: anchors sorted by descending
 // pattern count (ties: ascending label) are greedily assigned to the
@@ -54,8 +55,8 @@ class ShardedCatalog {
                     const CatalogQueryConfig& config = {}) const;
 
   // Batch counterpart: parallelism is spent across queries (each query
-  // walks its shards serially), matching PatternCatalog::QueryBatch's
-  // slot-owned determinism.
+  // walks its shards serially and writes only its own result slot), so
+  // results are identical to serial Query() calls.
   std::vector<QueryResult> QueryBatch(
       const std::vector<graph::Graph>& queries,
       const CatalogQueryConfig& config = {}) const;

@@ -4,8 +4,9 @@
 // Incremental GraphSig mining over an append-only database
 // (DESIGN.md §16).
 //
-// The miner composes the same pipeline units as core::GraphSig::Mine
-// (core/mine_pipeline.h) but carries a MineState between calls:
+// The miner owns a MineState — a core::MineCache (core/mine_cache.h)
+// plus checkpoint identity — and hands it to core::GraphSig::Mine, the
+// one mining orchestration, so each mine reuses the units of the last:
 //
 //   * featurization — RWR vectors are computed only for graphs appended
 //     since the last mine; earlier graphs replay their captured
@@ -15,7 +16,7 @@
 //     candidates, psi family, and delta,
 //   * region mining — per-candidate FSM outputs are cached keyed by
 //     (group, candidate index); region cuts are cached keyed by
-//     (generation, graph, node) (stream/region_cut_cache.h).
+//     (generation, graph, node).
 //
 // The headline guarantee, asserted by tests/stream_test.cc: a mine
 // after N appends produces an artifact AND a deterministic work-counter
@@ -27,11 +28,11 @@
 // featurized, ...) are ingest-side observability and are the one
 // documented exception to that equivalence.
 //
-// Invalidation: a changed config fingerprint or a restored state whose
-// per-graph generation stamps disagree with the log's discards
-// everything; a changed feature space (appends shifted the top-k atom
-// set) discards vectors and groups but keeps region cuts, which depend
-// only on graph content.
+// Invalidation: a changed config fingerprint or per-graph generation
+// stamps that stop extending the cached ones discard everything; a
+// changed feature space (appends shifted the top-k atom set) discards
+// vectors and groups but keeps region cuts, which depend only on graph
+// content.
 
 #include <cstdint>
 #include <string>
@@ -39,25 +40,15 @@
 #include <vector>
 
 #include "core/graphsig.h"
+#include "core/mine_cache.h"
 #include "graph/graph_database.h"
 #include "stream/mine_state.h"
-#include "stream/region_cut_cache.h"
 #include "util/status.h"
 
 namespace graphsig::stream {
 
 // Per-mine reuse accounting (also exported as stream/* counters).
-struct IncrementalMineStats {
-  int64_t graphs_featurized = 0;
-  int64_t graphs_reused = 0;
-  int64_t groups_mined = 0;
-  int64_t groups_reused = 0;
-  int64_t fsm_tasks_mined = 0;
-  int64_t fsm_tasks_replayed = 0;
-  int64_t cuts_computed = 0;
-  int64_t cuts_reused = 0;
-  bool invalidated_feature_space = false;
-};
+using IncrementalMineStats = core::MineCacheStats;
 
 class IncrementalMiner {
  public:
@@ -76,7 +67,8 @@ class IncrementalMiner {
   // ingest generation that introduced db graph i (parallel to db);
   // `generation` is the log's last generation and is recorded in the
   // state. The database must extend the one previously mined — same
-  // graphs, same order, new ones appended.
+  // graphs, same order, new ones appended. `mine_stats`, if given, is
+  // overwritten with this mine's reuse accounting.
   core::GraphSigResult Mine(const graph::GraphDatabase& db,
                             const std::vector<uint64_t>& graph_generations,
                             uint64_t generation,
@@ -88,7 +80,6 @@ class IncrementalMiner {
  private:
   core::GraphSigConfig config_;
   MineState state_;
-  RegionCutCache cut_cache_;  // in-memory only, rebuilt on restart
 };
 
 }  // namespace graphsig::stream

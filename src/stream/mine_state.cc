@@ -202,7 +202,7 @@ Status DecodeSubgraph(ByteReader* r, core::SignificantSubgraph* out) {
   return Status::Ok();
 }
 
-void EncodeFsmEntry(const GroupFsmEntry& entry, ByteWriter* w) {
+void EncodeFsmEntry(const core::GroupFsmEntry& entry, ByteWriter* w) {
   w->WriteU8(entry.present ? 1 : 0);
   if (!entry.present) return;
   w->WriteU8(entry.filtered ? 1 : 0);
@@ -214,7 +214,7 @@ void EncodeFsmEntry(const GroupFsmEntry& entry, ByteWriter* w) {
   EncodeWorkDelta(entry.delta, w);
 }
 
-Status DecodeFsmEntry(ByteReader* r, GroupFsmEntry* out) {
+Status DecodeFsmEntry(ByteReader* r, core::GroupFsmEntry* out) {
   uint8_t present;
   GS_RETURN_IF_ERROR(r->ReadU8(&present));
   if (present > 1) return Status::ParseError("bad fsm presence flag");
@@ -241,7 +241,7 @@ Status DecodeFsmEntry(ByteReader* r, GroupFsmEntry* out) {
   return DecodeWorkDelta(r, &out->delta);
 }
 
-void EncodeGroup(const GroupCacheEntry& group, ByteWriter* w) {
+void EncodeGroup(const core::GroupCacheEntry& group, ByteWriter* w) {
   w->WriteI32(group.label);
   w->WriteU32(static_cast<uint32_t>(group.members.size()));
   for (int32_t idx : group.members) w->WriteI32(idx);
@@ -252,10 +252,10 @@ void EncodeGroup(const GroupCacheEntry& group, ByteWriter* w) {
   w->WriteU32(static_cast<uint32_t>(group.psis.size()));
   for (double psi : group.psis) w->WriteF64(psi);
   EncodeWorkDelta(group.delta, w);
-  for (const GroupFsmEntry& entry : group.fsm) EncodeFsmEntry(entry, w);
+  for (const core::GroupFsmEntry& entry : group.fsm) EncodeFsmEntry(entry, w);
 }
 
-Status DecodeGroup(ByteReader* r, GroupCacheEntry* out) {
+Status DecodeGroup(ByteReader* r, core::GroupCacheEntry* out) {
   GS_RETURN_IF_ERROR(r->ReadI32(&out->label));
   uint32_t num_members;
   GS_RETURN_IF_ERROR(r->ReadU32(&num_members));
@@ -332,7 +332,7 @@ std::string EncodeMineState(const MineState& state) {
   }
   for (uint64_t g : state.graph_generations) w.WriteU64(g);
   w.WriteU64(state.groups.size());
-  for (const GroupCacheEntry& group : state.groups) {
+  for (const core::GroupCacheEntry& group : state.groups) {
     EncodeGroup(group, &w);
   }
   return std::move(w.TakeBuffer());

@@ -82,8 +82,8 @@ const Fixture& SharedFixture() {
 }
 
 // The bytes the server must produce for one Query frame: the in-process
-// result projected onto the wire reply. Must mirror ProcessQuery's
-// config exactly (num_threads = 1).
+// result of the served (one-shard) catalog projected onto the wire
+// reply. Must mirror ProcessQuery's config exactly (num_threads = 1).
 std::string ExpectedReplyBytes(const graph::Graph& query,
                                const wire::QueryOptions& options = {}) {
   serve::CatalogQueryConfig config;
@@ -91,7 +91,8 @@ std::string ExpectedReplyBytes(const graph::Graph& query,
   config.compute_matches = options.compute_matches;
   config.compute_score = options.compute_score;
   return wire::EncodeQueryReply(
-      wire::ReplyFromResult(SharedFixture().catalog->Query(query, config)));
+      wire::ReplyFromResult(
+          SharedFixture().handle->Current()->Query(query, config)));
 }
 
 // Server on an ephemeral loopback port, event loop on its own thread.

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
+#include <utility>
 
 #include "classify/sig_knn.h"
 #include "core/graphsig.h"
@@ -8,6 +10,7 @@
 #include "graph/isomorphism.h"
 #include "model/artifact.h"
 #include "serve/pattern_catalog.h"
+#include "serve/sharded_catalog.h"
 
 namespace graphsig::serve {
 namespace {
@@ -37,6 +40,13 @@ struct Fixture {
   classify::GraphSigClassifier direct_classifier;
 };
 
+// Exact queries run through ShardedCatalog; one shard serves the whole
+// catalog.
+ShardedCatalog OneShard(util::Result<PatternCatalog> catalog) {
+  return ShardedCatalog(
+      std::make_shared<const PatternCatalog>(std::move(catalog).value()), 1);
+}
+
 const Fixture& SharedFixture() {
   static const Fixture* fixture = [] {
     auto* f = new Fixture();
@@ -63,12 +73,13 @@ TEST(PatternCatalogTest, MatchesEqualBruteForce) {
   auto catalog = PatternCatalog::FromArtifact(f.artifact);
   ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
   ASSERT_GT(catalog.value().num_patterns(), 0u);
+  const ShardedCatalog serving = OneShard(std::move(catalog));
 
   CatalogQueryConfig config;
   config.compute_score = false;
   for (size_t i = 0; i < f.db.size(); i += 3) {
     const graph::Graph& query = f.db.graph(i);
-    const QueryResult result = catalog.value().Query(query, config);
+    const QueryResult result = serving.Query(query, config);
     std::vector<int32_t> expected;
     for (size_t p = 0; p < f.artifact.catalog.size(); ++p) {
       if (graph::IsSubgraphIsomorphic(f.artifact.catalog[p].subgraph,
@@ -88,11 +99,12 @@ TEST(PatternCatalogTest, PruningRejectsMostCandidates) {
   const Fixture& f = SharedFixture();
   auto catalog = PatternCatalog::FromArtifact(f.artifact);
   ASSERT_TRUE(catalog.ok());
+  const ShardedCatalog serving = OneShard(std::move(catalog));
   CatalogQueryConfig config;
   config.compute_score = false;
   int64_t iso = 0, pruned = 0;
   for (const graph::Graph& query : f.db.graphs()) {
-    const QueryResult r = catalog.value().Query(query, config);
+    const QueryResult r = serving.Query(query, config);
     iso += r.iso_calls;
     pruned += r.pruned;
   }
@@ -105,9 +117,10 @@ TEST(PatternCatalogTest, ScoresMatchDirectClassifier) {
   auto catalog = PatternCatalog::FromArtifact(f.artifact);
   ASSERT_TRUE(catalog.ok());
   ASSERT_TRUE(catalog.value().has_classifier());
+  const ShardedCatalog serving = OneShard(std::move(catalog));
   for (size_t i = 0; i < f.db.size(); i += 5) {
     const graph::Graph& g = f.db.graph(i);
-    const QueryResult r = catalog.value().Query(g);
+    const QueryResult r = serving.Query(g);
     ASSERT_TRUE(r.has_score);
     EXPECT_EQ(r.score, f.direct_classifier.Score(g)) << "query " << i;
   }
@@ -128,7 +141,7 @@ TEST(PatternCatalogTest, GoldenFileRoundTripReproducesInProcessRun) {
   // Queries the served run never saw at mining time.
   graph::GraphDatabase holdout = TestScreen(777, 40);
   const std::vector<QueryResult> served =
-      catalog.value().QueryBatch(holdout.graphs());
+      OneShard(std::move(catalog)).QueryBatch(holdout.graphs());
   ASSERT_EQ(served.size(), holdout.size());
   for (size_t i = 0; i < holdout.size(); ++i) {
     const graph::Graph& g = holdout.graph(i);
@@ -149,17 +162,18 @@ TEST(PatternCatalogTest, BatchMatchesSerialAcrossThreadCounts) {
   const Fixture& f = SharedFixture();
   auto catalog = PatternCatalog::FromArtifact(f.artifact);
   ASSERT_TRUE(catalog.ok());
+  const ShardedCatalog serving = OneShard(std::move(catalog));
   graph::GraphDatabase holdout = TestScreen(888, 24);
 
   std::vector<QueryResult> serial;
   for (const graph::Graph& g : holdout.graphs()) {
-    serial.push_back(catalog.value().Query(g));
+    serial.push_back(serving.Query(g));
   }
   for (int threads : {1, 3}) {
     CatalogQueryConfig config;
     config.num_threads = threads;
     const std::vector<QueryResult> batch =
-        catalog.value().QueryBatch(holdout.graphs(), config);
+        serving.QueryBatch(holdout.graphs(), config);
     ASSERT_EQ(batch.size(), serial.size());
     for (size_t i = 0; i < batch.size(); ++i) {
       EXPECT_EQ(batch[i].matched_patterns, serial[i].matched_patterns);
@@ -175,7 +189,7 @@ TEST(PatternCatalogTest, ArtifactWithoutClassifierServesMatchesOnly) {
   auto catalog = PatternCatalog::FromArtifact(std::move(artifact));
   ASSERT_TRUE(catalog.ok());
   EXPECT_FALSE(catalog.value().has_classifier());
-  const QueryResult r = catalog.value().Query(f.db.graph(0));
+  const QueryResult r = OneShard(std::move(catalog)).Query(f.db.graph(0));
   EXPECT_FALSE(r.has_score);
   EXPECT_EQ(r.score, 0.0);
 }

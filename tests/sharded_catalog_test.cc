@@ -1,8 +1,9 @@
 // ShardedCatalog is a pure re-partitioning of PatternCatalog's anchor
 // index: for every shard count and fan-out width the wire-encoded reply
-// must be byte-identical to the unsharded answer, and the deterministic
-// serving counters must land on the same totals. These tests pin that
-// contract at shard counts {1, 2, 4, 8} x threads {1, 4}.
+// must be byte-identical to the one-shard answer (which serve_test.cc
+// pins against brute-force VF2), and the deterministic serving counters
+// must land on the same totals. These tests pin that contract at shard
+// counts {1, 2, 4, 8} x threads {1, 4}.
 
 #include <gtest/gtest.h>
 
@@ -108,10 +109,11 @@ TEST(ShardedCatalogTest, RepliesByteIdenticalToUnshardedAcrossShardCounts) {
   CatalogQueryConfig config;
   config.compute_score = false;
 
+  const ShardedCatalog unsharded(f.catalog, 1);
   std::vector<std::string> baseline;
   for (const graph::Graph& g : f.holdout.graphs()) {
     baseline.push_back(
-        wire::EncodeQueryReply(ToWire(f.catalog->Query(g, config))));
+        wire::EncodeQueryReply(ToWire(unsharded.Query(g, config))));
   }
 
   for (int shards : {1, 2, 4, 8}) {
@@ -139,11 +141,12 @@ TEST(ShardedCatalogTest, ServingStatsTotalsMatchUnsharded) {
   CatalogQueryConfig config;
   config.compute_score = false;
 
-  f.catalog->ResetStats();
+  const ShardedCatalog one_shard(f.catalog, 1);
+  one_shard.ResetStats();
   for (const graph::Graph& g : f.holdout.graphs()) {
-    (void)f.catalog->Query(g, config);
+    (void)one_shard.Query(g, config);
   }
-  const ServingStats unsharded = f.catalog->Snapshot();
+  const ServingStats unsharded = one_shard.Snapshot();
 
   for (int shards : {2, 8}) {
     ShardedCatalog sharded(f.catalog, shards);
@@ -170,11 +173,12 @@ TEST(ShardedCatalogTest, OneQueryCsrBuildAtAnyShardCount) {
   const Fixture& f = SharedFixture();
   obs::Counter* const builds =
       obs::MetricsRegistry::Global().GetCounter("graph/csr_builds");
+  const ShardedCatalog one_shard(f.catalog, 1);
   CatalogQueryConfig config;
   config.num_threads = 2;
   for (const graph::Graph& g : f.holdout.graphs()) {
     uint64_t before = builds->value();
-    (void)f.catalog->Query(g, config);
+    (void)one_shard.Query(g, config);
     const uint64_t unsharded = builds->value() - before;
     EXPECT_EQ(unsharded, 1u);
     for (int shards : {1, 2, 4}) {
@@ -241,7 +245,8 @@ TEST(ShardedCatalogTest, MoreShardsThanAnchorsLeavesEmptyShards) {
   // Queries still answer correctly through the padding shards.
   CatalogQueryConfig config;
   config.compute_score = false;
-  const QueryResult direct = f.catalog->Query(f.holdout.graph(0), config);
+  const QueryResult direct =
+      ShardedCatalog(f.catalog, 1).Query(f.holdout.graph(0), config);
   const QueryResult shardy = sharded.Query(f.holdout.graph(0), config);
   EXPECT_EQ(wire::EncodeQueryReply(ToWire(shardy)),
             wire::EncodeQueryReply(ToWire(direct)));

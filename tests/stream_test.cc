@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "core/graphsig.h"
+#include "core/mine_cache.h"
 #include "data/datasets.h"
 #include "graph/graph_database.h"
 #include "model/artifact.h"
@@ -25,7 +26,6 @@
 #include "stream/incremental.h"
 #include "stream/ingest_log.h"
 #include "stream/mine_state.h"
-#include "stream/region_cut_cache.h"
 #include "util/binary.h"
 
 namespace graphsig::stream {
@@ -178,7 +178,7 @@ TEST(IngestLogTest, RejectsCorruptionInsideRecords) {
 // RegionCutCache generation keying.
 
 TEST(RegionCutCacheTest, StaleGenerationLookupMisses) {
-  RegionCutCache cache;
+  core::RegionCutCache cache;
   graph::Graph cut;
   cut.AddVertex(7);
   cache.Insert({.generation = 1, .graph_index = 0, .node = 2},
@@ -437,6 +437,138 @@ TEST(IncrementalMineTest, MatchesColdMineWithTarone) {
   EXPECT_EQ(ArtifactBytes(std::move(incremental), db),
             ArtifactBytes(std::move(full), db));
   EXPECT_EQ(inc_counters, cold_counters);
+}
+
+// Mines `db` incrementally and cold, each from a zeroed registry, and
+// expects equal artifact bytes and equal non-stream work counters.
+void ExpectIncrementalMatchesCold(IncrementalMiner* miner,
+                                  const graph::GraphDatabase& db,
+                                  const std::vector<uint64_t>& generations,
+                                  uint64_t generation,
+                                  IncrementalMineStats* stats) {
+  obs::MetricsRegistry::Global().Reset();
+  core::GraphSigResult incremental =
+      miner->Mine(db, generations, generation, stats);
+  const auto inc_counters = NonStreamWorkValues();
+
+  obs::MetricsRegistry::Global().Reset();
+  core::GraphSigResult full = core::GraphSig(miner->config()).Mine(db);
+  const auto cold_counters = NonStreamWorkValues();
+
+  EXPECT_EQ(ArtifactBytes(std::move(incremental), db),
+            ArtifactBytes(std::move(full), db));
+  EXPECT_EQ(inc_counters, cold_counters);
+}
+
+// A base screen, then an append that re-ranks the atom labels and so
+// changes the feature space: MOLT-4 actives carry Sb/Bi analogs that
+// MCF-7 never has.
+graph::GraphDatabase ShiftingAppend() {
+  data::DatasetOptions options;
+  options.size = 8;
+  options.seed = 5;
+  options.active_fraction = 1.0;
+  options.rare_analog_rate_active = 1.0;
+  return data::MakeCancerScreen("MOLT-4", options);
+}
+
+// Generations that do not extend the cached ones (a rebuilt log) drop
+// every cache entry: nothing is reused and the mine equals a cold one.
+TEST(IncrementalMineTest, LineageBreakMatchesColdMine) {
+  const graph::GraphDatabase first = SmallScreen(14, 11);
+  const graph::GraphDatabase second = SmallScreen(14, 29);
+  IncrementalMiner miner(SmallConfig(2));
+  miner.Mine(first, std::vector<uint64_t>(first.size(), 1), 1);
+
+  IncrementalMineStats stats;
+  ExpectIncrementalMatchesCold(&miner, second,
+                               std::vector<uint64_t>(second.size(), 2), 2,
+                               &stats);
+  EXPECT_EQ(stats.graphs_reused, 0);
+  EXPECT_EQ(stats.groups_reused, 0);
+  EXPECT_EQ(stats.fsm_tasks_replayed, 0);
+  EXPECT_EQ(stats.cuts_reused, 0);
+  EXPECT_EQ(stats.graphs_featurized, static_cast<int64_t>(second.size()));
+}
+
+// A feature-space change drops vectors and groups but keeps region
+// cuts, which depend only on graph content.
+TEST(IncrementalMineTest, FeatureSpaceChangeMatchesColdMine) {
+  const graph::GraphDatabase base = SmallScreen(16, 17);
+  IncrementalMiner miner(SmallConfig(2));
+  graph::GraphDatabase cumulative = base;
+  std::vector<uint64_t> generations(base.size(), 1);
+  miner.Mine(cumulative, generations, 1);
+  const graph::GraphDatabase append = ShiftingAppend();
+  for (const graph::Graph& g : append.graphs()) {
+    cumulative.Add(g);
+    generations.push_back(2);
+  }
+
+  IncrementalMineStats stats;
+  ExpectIncrementalMatchesCold(&miner, cumulative, generations, 2, &stats);
+  EXPECT_TRUE(stats.invalidated_feature_space);
+  EXPECT_EQ(stats.graphs_reused, 0);
+  EXPECT_EQ(stats.groups_reused, 0);
+  EXPECT_GT(stats.cuts_reused, 0);
+}
+
+// Re-mining an unchanged database replays every unit and runs none.
+TEST(IncrementalMineTest, UnchangedRemineReplaysEveryUnit) {
+  const graph::GraphDatabase db = SmallScreen(16, 19);
+  const std::vector<uint64_t> generations(db.size(), 1);
+  IncrementalMiner miner(SmallConfig(2));
+  miner.Mine(db, generations, 1);
+
+  IncrementalMineStats stats;
+  ExpectIncrementalMatchesCold(&miner, db, generations, 1, &stats);
+  EXPECT_FALSE(stats.invalidated_feature_space);
+  EXPECT_EQ(stats.graphs_featurized, 0);
+  EXPECT_EQ(stats.groups_mined, 0);
+  EXPECT_EQ(stats.fsm_tasks_mined, 0);
+  EXPECT_EQ(stats.cuts_computed, 0);
+  EXPECT_EQ(stats.graphs_reused, static_cast<int64_t>(db.size()));
+  EXPECT_GT(stats.groups_reused, 0);
+  EXPECT_GT(stats.fsm_tasks_replayed, 0);
+  EXPECT_GT(stats.cuts_reused, 0);
+}
+
+// One stats object passed to several mines reports the last mine only,
+// and the stream/inc_* counters it feeds count that mine once.
+TEST(IncrementalMineTest, StatsDescribeOnlyTheLastMine) {
+  const graph::GraphDatabase base = SmallScreen(16, 17);
+  graph::GraphDatabase cumulative = base;
+  std::vector<uint64_t> generations(base.size(), 1);
+  const graph::GraphDatabase append = ShiftingAppend();
+  for (const graph::Graph& g : append.graphs()) {
+    cumulative.Add(g);
+    generations.push_back(2);
+  }
+  IncrementalMiner miner(SmallConfig(2));
+  IncrementalMineStats stats;
+  miner.Mine(base, std::vector<uint64_t>(base.size(), 1), 1, &stats);
+  miner.Mine(cumulative, generations, 2, &stats);
+  ASSERT_TRUE(stats.invalidated_feature_space);
+
+  obs::MetricsRegistry::Global().Reset();
+  miner.Mine(cumulative, generations, 2, &stats);
+  EXPECT_FALSE(stats.invalidated_feature_space);
+  EXPECT_EQ(stats.graphs_featurized, 0);
+  EXPECT_EQ(stats.graphs_reused, static_cast<int64_t>(cumulative.size()));
+  EXPECT_EQ(stats.groups_mined, 0);
+  EXPECT_EQ(stats.fsm_tasks_mined, 0);
+  EXPECT_EQ(stats.cuts_computed, 0);
+
+  const auto counters = obs::MetricsRegistry::Global().WorkValues();
+  auto counter = [&](const std::string& name) {
+    auto it = counters.find(name);
+    return it == counters.end() ? int64_t{-1}
+                                : static_cast<int64_t>(it->second);
+  };
+  EXPECT_EQ(counter("stream/inc_graphs_reused"), stats.graphs_reused);
+  EXPECT_EQ(counter("stream/inc_groups_reused"), stats.groups_reused);
+  EXPECT_EQ(counter("stream/inc_fsm_replayed"), stats.fsm_tasks_replayed);
+  EXPECT_EQ(counter("stream/inc_cuts_reused"), stats.cuts_reused);
 }
 
 // Reuse accounting: a second mine over an unchanged-feature-space

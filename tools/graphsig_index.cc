@@ -48,17 +48,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  core::GraphSigConfig config;
-  config.max_pvalue = flags.GetDouble("max-pvalue", config.max_pvalue);
-  config.min_freq_percent =
-      flags.GetDouble("min-freq", config.min_freq_percent);
-  config.cutoff_radius =
-      static_cast<int>(flags.GetInt("radius", config.cutoff_radius));
-  config.fsg_freq_percent =
-      flags.GetDouble("fsg-freq", config.fsg_freq_percent);
-  config.num_threads =
-      tools::ResolveThreads(flags.GetInt("threads", config.num_threads));
-  config.compute_db_frequency = !flags.GetBool("no-frequency");
+  core::GraphSigConfig config = tools::MiningConfigFromFlags(flags);
 
   // Mine the catalog from the actives (the paper's workload) unless the
   // caller asks for everything or no actives exist.

@@ -34,14 +34,17 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "approx/estimators.h"
 #include "net/client.h"
 #include "net/wire.h"
 #include "serve/pattern_catalog.h"
+#include "serve/sharded_catalog.h"
 #include "tools/tool_util.h"
 #include "util/rng.h"
 #include "util/strings.h"
@@ -224,6 +227,10 @@ int main(int argc, char** argv) {
   if (!verify_model.empty()) {
     auto catalog = serve::PatternCatalog::LoadFromFile(verify_model);
     if (!catalog.ok()) tools::Fail(catalog.status());
+    const serve::ShardedCatalog reference(
+        std::make_shared<const serve::PatternCatalog>(
+            std::move(catalog).value()),
+        1);
     serve::CatalogQueryConfig qconfig;
     qconfig.num_threads = 1;
     qconfig.compute_matches = options.compute_matches;
@@ -236,7 +243,7 @@ int main(int argc, char** argv) {
     for (size_t g = 0; g < db.size(); ++g) {
       if (!needed[g]) continue;
       expected[g] = wire::EncodeQueryReply(
-          wire::ReplyFromResult(catalog.value().Query(db.graph(g), qconfig)));
+          wire::ReplyFromResult(reference.Query(db.graph(g), qconfig)));
     }
     expected_approx.resize(picks.size());
     for (size_t i = 0; i < picks.size(); ++i) {
@@ -248,7 +255,7 @@ int main(int argc, char** argv) {
       aconfig.samples = static_cast<int32_t>(request.samples);
       aconfig.confidence = request.confidence;
       aconfig.num_threads = 1;
-      auto result = catalog.value().ApproxQuery(request.pattern, aconfig);
+      auto result = reference.ApproxQuery(request.pattern, aconfig);
       if (!result.ok()) tools::Fail(result.status());
       expected_approx[i] =
           wire::EncodeApproxReply(wire::ReplyFromApprox(result.value()));

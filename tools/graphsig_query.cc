@@ -17,12 +17,15 @@
 
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "data/smiles.h"
 #include "model/artifact.h"
 #include "serve/pattern_catalog.h"
+#include "serve/sharded_catalog.h"
 #include "tools/tool_util.h"
 #include "util/strings.h"
 #include "util/timer.h"
@@ -45,12 +48,16 @@ int main(int argc, char** argv) {
   util::WallTimer load_timer;
   auto catalog = serve::PatternCatalog::LoadFromFile(model_path);
   if (!catalog.ok()) tools::Fail(catalog.status());
-  const serve::PatternCatalog& serving = catalog.value();
+  const serve::ShardedCatalog serving(
+      std::make_shared<const serve::PatternCatalog>(
+          std::move(catalog).value()),
+      1);
   std::fprintf(stderr,
                "loaded %s in %.2fs: %zu graphs indexed, %zu significant "
                "patterns, classifier: %s\n",
                model_path.c_str(), load_timer.ElapsedSeconds(),
-               serving.artifact().database.size(), serving.num_patterns(),
+               serving.catalog().artifact().database.size(),
+               serving.num_patterns(),
                serving.has_classifier() ? "yes" : "no");
 
   // Load the query molecules from the input file or stdin.

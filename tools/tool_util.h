@@ -1,8 +1,8 @@
 #ifndef GRAPHSIG_TOOLS_TOOL_UTIL_H_
 #define GRAPHSIG_TOOLS_TOOL_UTIL_H_
 
-// Shared flag parsing, dataset I/O, and signal handling for the
-// command-line tools.
+// Shared flag parsing (including the common mining flags), dataset
+// I/O, and signal handling for the command-line tools.
 
 #include <unistd.h>
 
@@ -15,6 +15,7 @@
 #include <sstream>
 #include <string>
 
+#include "core/graphsig.h"
 #include "data/molfile.h"
 #include "data/smiles.h"
 #include "graph/io.h"
@@ -148,6 +149,25 @@ class Flags {
 inline int ResolveThreads(int64_t flag_value) {
   if (flag_value <= 0) return util::HardwareThreads();
   return static_cast<int>(flag_value);
+}
+
+// The mining flags graphsig_mine, graphsig_index and graphsig_ingest
+// share, over the GraphSigConfig defaults: --max-pvalue, --min-freq
+// (percent), --radius, --fsg-freq (percent), --threads (0 = auto) and
+// --no-frequency.
+inline core::GraphSigConfig MiningConfigFromFlags(const Flags& flags) {
+  core::GraphSigConfig config;
+  config.max_pvalue = flags.GetDouble("max-pvalue", config.max_pvalue);
+  config.min_freq_percent =
+      flags.GetDouble("min-freq", config.min_freq_percent);
+  config.cutoff_radius =
+      static_cast<int>(flags.GetInt("radius", config.cutoff_radius));
+  config.fsg_freq_percent =
+      flags.GetDouble("fsg-freq", config.fsg_freq_percent);
+  config.num_threads =
+      ResolveThreads(flags.GetInt("threads", config.num_threads));
+  config.compute_db_frequency = !flags.GetBool("no-frequency");
+  return config;
 }
 
 inline util::Result<std::string> ReadFile(const std::string& path) {
