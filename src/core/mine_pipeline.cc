@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "features/packed_vector_set.h"
-#include "fsm/dfs_code.h"
 #include "fsm/maximal.h"
 #include "fsm/miner.h"
 #include "graph/csr.h"
@@ -174,18 +173,18 @@ RegionTaskOutput MineRegionTask(const GraphSigConfig& config, Label label,
     output.filtered = true;
     return output;
   }
-  for (const fsm::Pattern& pattern : mined.patterns) {
+  for (fsm::Pattern& pattern : mined.patterns) {
     if (pattern.graph.num_edges() < 1) continue;
     SignificantSubgraph candidate;
-    candidate.subgraph = pattern.graph;
+    candidate.subgraph = std::move(pattern.graph);
     candidate.vector = sv.vector;
     candidate.vector_pvalue = sv.p_value;
     candidate.vector_support = sv.support;
     candidate.anchor_label = label;
     candidate.set_size = static_cast<int64_t>(regions.size());
     candidate.set_support = pattern.support;
-    output.dedup.emplace(fsm::CanonicalCode(pattern.graph),
-                         std::move(candidate));
+    // gSpan's minimal DFS code is the pattern's CanonicalCode.
+    output.dedup.emplace(std::move(pattern.code), std::move(candidate));
   }
   return output;
 }

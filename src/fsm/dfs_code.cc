@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <optional>
+#include <span>
 #include <tuple>
 
 #include "util/check.h"
@@ -21,13 +22,16 @@ int32_t DfsCode::NumVertices() const {
 graph::Graph DfsCode::ToGraph() const {
   graph::Graph g;
   int32_t n = NumVertices();
-  std::vector<graph::Label> labels(n, -1);
+  // Any int32 is a valid label, so a separate flag marks labeled ids.
+  std::vector<graph::Label> labels(n);
+  std::vector<char> labeled(n, 0);
   for (const DfsEdge& e : edges_) {
     labels[e.from] = e.from_label;
     labels[e.to] = e.to_label;
+    labeled[e.from] = labeled[e.to] = 1;
   }
   for (int32_t v = 0; v < n; ++v) {
-    GS_CHECK_GE(labels[v], 0);
+    GS_CHECK(labeled[v]);
     g.AddVertex(labels[v]);
   }
   for (const DfsEdge& e : edges_) {
@@ -37,18 +41,23 @@ graph::Graph DfsCode::ToGraph() const {
 }
 
 std::vector<int> DfsCode::BuildRmPath() const {
+  std::vector<int> rmpath;
+  BuildRmPath(&rmpath);
+  return rmpath;
+}
+
+void DfsCode::BuildRmPath(std::vector<int>* rmpath) const {
   // Walk the code backwards collecting the chain of forward edges that
   // ends at the rightmost vertex: index order is rightmost-first.
-  std::vector<int> rmpath;
+  rmpath->clear();
   int32_t old_from = -1;
   for (int i = static_cast<int>(edges_.size()) - 1; i >= 0; --i) {
     const DfsEdge& e = edges_[i];
-    if (e.IsForward() && (rmpath.empty() || old_from == e.to)) {
-      rmpath.push_back(i);
+    if (e.IsForward() && (rmpath->empty() || old_from == e.to)) {
+      rmpath->push_back(i);
       old_from = e.from;
     }
   }
-  return rmpath;
 }
 
 std::string DfsCode::ToString() const {
@@ -99,14 +108,17 @@ using graph::VertexId;
 // flat. Each one is a DFS id -> vertex map plus used-edge and
 // used-vertex bit masks. The mask width is fixed per graph (one word
 // covers the <= 25-edge patterns gSpan checks), so copying an
-// embedding is a few word copies instead of two vector<bool>s.
+// embedding is a few word copies instead of two vector<bool>s. Reset
+// keeps the buffers, so a reused set allocates only to grow.
 class EmbeddingSet {
  public:
-  EmbeddingSet(int32_t num_vertices, int32_t num_edges)
-      : map_stride_(static_cast<size_t>(num_vertices)),
-        edge_words_(static_cast<size_t>(num_edges + 63) / 64),
-        mask_stride_(edge_words_ + static_cast<size_t>(num_vertices + 63) /
-                                       64) {}
+  // Empties the set and sizes its entries for a graph of this shape.
+  void Reset(int32_t num_vertices, int32_t num_edges) {
+    map_stride_ = static_cast<size_t>(num_vertices);
+    edge_words_ = static_cast<size_t>(num_edges + 63) / 64;
+    mask_stride_ = edge_words_ + static_cast<size_t>(num_vertices + 63) / 64;
+    size_ = 0;
+  }
 
   size_t size() const { return size_; }
   void clear() { size_ = 0; }
@@ -141,6 +153,7 @@ class EmbeddingSet {
     Mark(j, edge, new_vertex, new_vertex);
   }
 
+  // Both sets must have been Reset for the same graph.
   friend void swap(EmbeddingSet& a, EmbeddingSet& b) {
     std::swap(a.size_, b.size_);
     a.maps_.swap(b.maps_);
@@ -157,8 +170,11 @@ class EmbeddingSet {
 
   size_t Grow() {
     const size_t k = size_++;
+    // The strides change with Reset, so each buffer is checked.
     if (maps_.size() < size_ * map_stride_) {
       maps_.resize(size_ * map_stride_ * 2);
+    }
+    if (masks_.size() < size_ * mask_stride_) {
       masks_.resize(size_ * mask_stride_ * 2);
     }
     return k;
@@ -171,13 +187,76 @@ class EmbeddingSet {
     Set(mask + edge_words_, b);
   }
 
-  const size_t map_stride_;
-  const size_t edge_words_;
-  const size_t mask_stride_;
+  size_t map_stride_ = 0;
+  size_t edge_words_ = 0;
+  size_t mask_stride_ = 0;
   size_t size_ = 0;
   std::vector<VertexId> maps_;
   std::vector<uint64_t> masks_;
 };
+
+// The graph of a DFS code (vertex k is DFS id k) as flat adjacency in
+// reused buffers: what IsMinimalDfsCode grows the minimum code of, with
+// no heap Graph per check. Neighbors are in edge order, as in the Graph
+// that DfsCode::ToGraph builds.
+class CodeGraph {
+ public:
+  void Assign(const DfsCode& code) {
+    const int32_t n = code.NumVertices();
+    labels_.assign(static_cast<size_t>(n), 0);
+    offsets_.assign(static_cast<size_t>(n) + 1, 0);
+    edges_.clear();
+    for (const DfsEdge& e : code.edges()) {
+      labels_[e.from] = e.from_label;
+      labels_[e.to] = e.to_label;
+      edges_.push_back({e.from, e.to, e.edge_label});
+      ++offsets_[e.from + 1];
+      ++offsets_[e.to + 1];
+    }
+    for (int32_t v = 0; v < n; ++v) offsets_[v + 1] += offsets_[v];
+    entries_.resize(2 * edges_.size());
+    fill_ = offsets_;
+    for (size_t i = 0; i < edges_.size(); ++i) {
+      const EdgeRecord& e = edges_[i];
+      const int32_t index = static_cast<int32_t>(i);
+      entries_[fill_[e.u]++] = {e.v, e.label, index};
+      entries_[fill_[e.v]++] = {e.u, e.label, index};
+    }
+  }
+
+  int32_t num_vertices() const {
+    return static_cast<int32_t>(labels_.size());
+  }
+  int32_t num_edges() const { return static_cast<int32_t>(edges_.size()); }
+  Label vertex_label(VertexId v) const { return labels_[v]; }
+  std::span<const AdjEntry> neighbors(VertexId v) const {
+    return {entries_.data() + offsets_[v],
+            static_cast<size_t>(offsets_[v + 1] - offsets_[v])};
+  }
+  const std::vector<EdgeRecord>& edges() const { return edges_; }
+
+ private:
+  std::vector<Label> labels_;
+  std::vector<int32_t> offsets_;
+  std::vector<int32_t> fill_;
+  std::vector<AdjEntry> entries_;
+  std::vector<EdgeRecord> edges_;
+};
+
+// Working memory of GrowMinDfsCode, one set per thread, reused by every
+// call on it (a call never starts another).
+struct GrowScratch {
+  EmbeddingSet embs;
+  EmbeddingSet next;
+  std::vector<int> rmpath;
+  CodeGraph code_graph;
+  DfsCode min_code;
+};
+
+GrowScratch& ThreadGrowScratch() {
+  thread_local GrowScratch scratch;
+  return scratch;
+}
 
 // Grows the minimum DFS code of the connected, non-empty-edge graph `g`
 // into the empty `code`, one edge at a time. Each step keeps only the
@@ -186,7 +265,9 @@ class EmbeddingSet {
 // first edge where the minimum departs from the candidate: the is-min
 // check then costs only the prefix it agrees on. Otherwise it returns
 // true with the full minimum code.
-bool GrowMinDfsCode(const graph::Graph& g, const DfsCode* candidate,
+// `AnyGraph` is graph::Graph or CodeGraph.
+template <typename AnyGraph>
+bool GrowMinDfsCode(const AnyGraph& g, const DfsCode* candidate,
                     DfsCode* code) {
   auto extend_agrees = [&](const DfsEdge& e) {
     code->Push(e);
@@ -207,8 +288,11 @@ bool GrowMinDfsCode(const graph::Graph& g, const DfsCode* candidate,
     return false;
   }
 
-  EmbeddingSet embs(g.num_vertices(), g.num_edges());
-  EmbeddingSet next(g.num_vertices(), g.num_edges());
+  GrowScratch& scratch = ThreadGrowScratch();
+  EmbeddingSet& embs = scratch.embs;
+  EmbeddingSet& next = scratch.next;
+  embs.Reset(g.num_vertices(), g.num_edges());
+  next.Reset(g.num_vertices(), g.num_edges());
   for (int32_t ei = 0; ei < g.num_edges(); ++ei) {
     const EdgeRecord& e = g.edges()[ei];
     for (int dir = 0; dir < 2; ++dir) {
@@ -223,10 +307,10 @@ bool GrowMinDfsCode(const graph::Graph& g, const DfsCode* candidate,
   GS_CHECK(embs.size() > 0);
 
   const Label min_label = std::get<0>(best);
-  std::vector<int> rmpath;
+  std::vector<int>& rmpath = scratch.rmpath;
 
   while (static_cast<int32_t>(code->size()) < g.num_edges()) {
-    rmpath = code->BuildRmPath();
+    code->BuildRmPath(&rmpath);
     const int32_t maxtoc = (*code)[rmpath[0]].to;  // rightmost vertex DFS id
     const Label rm_vertex_label = (*code)[rmpath[0]].to_label;
     next.clear();
@@ -355,8 +439,10 @@ DfsCode BuildMinDfsCode(const graph::Graph& g) {
 
 bool IsMinimalDfsCode(const DfsCode& code) {
   if (code.empty()) return true;
-  DfsCode min_code;
-  return GrowMinDfsCode(code.ToGraph(), &code, &min_code);
+  GrowScratch& scratch = ThreadGrowScratch();
+  scratch.code_graph.Assign(code);
+  scratch.min_code.Clear();
+  return GrowMinDfsCode(scratch.code_graph, &code, &scratch.min_code);
 }
 
 std::string CanonicalCode(const graph::Graph& g) {

@@ -49,6 +49,8 @@ class DfsCode {
   // rightmost path, ordered from the rightmost vertex back to the root.
   // Mirrors gSpan's RMPath.
   std::vector<int> BuildRmPath() const;
+  // Same, into `rmpath` (cleared first), so a caller can reuse a buffer.
+  void BuildRmPath(std::vector<int>* rmpath) const;
 
   // Stable text form, e.g. "(0,1,6,1,6)(1,2,6,1,8)"; usable as a map key
   // once the code is minimal. Its bytes order the dedup maps downstream,
@@ -72,9 +74,10 @@ bool DfsEdgeLess(const DfsEdge& a, const DfsEdge& b);
 DfsCode BuildMinDfsCode(const graph::Graph& g);
 
 // True iff `code` is its pattern's minimal DFS code. Runs the same
-// growth as BuildMinDfsCode on code.ToGraph(), but returns false at the
-// first edge where the minimal code departs from `code`, so a
-// non-minimal code costs only the prefix the two share.
+// growth as BuildMinDfsCode on the code's graph (flat, in per-thread
+// buffers), but returns false at the first edge where the minimal code
+// departs from `code`, so a non-minimal code costs only the prefix the
+// two share.
 bool IsMinimalDfsCode(const DfsCode& code);
 
 // Canonical string key of a connected graph: ToString() of its minimal

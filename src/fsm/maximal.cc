@@ -1,9 +1,11 @@
 #include "fsm/maximal.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "graph/csr.h"
 #include "graph/isomorphism.h"
+#include "graph/signature.h"
 
 namespace graphsig::fsm {
 
@@ -17,11 +19,20 @@ std::vector<Pattern> FilterMaximal(std::vector<Pattern> patterns) {
               }
               return a.graph.num_vertices() > b.graph.num_vertices();
             });
-  // A pattern takes part in many containment checks: flatten each to CSR
-  // once.
-  std::vector<graph::CsrGraph> csrs;
-  csrs.reserve(patterns.size());
-  for (const Pattern& p : patterns) csrs.emplace_back(p.graph);
+  // A pattern takes part in many containment checks: profile each once,
+  // and flatten it to CSR the first time a pair passes the signature
+  // test (a necessary condition for containment, DESIGN.md §8), so most
+  // pairs never reach VF2.
+  std::vector<graph::ContainmentSignature> signatures;
+  signatures.reserve(patterns.size());
+  for (const Pattern& p : patterns) {
+    signatures.push_back(graph::BuildContainmentSignature(p.graph));
+  }
+  std::vector<std::optional<graph::CsrGraph>> csrs(patterns.size());
+  auto csr = [&](size_t i) -> const graph::CsrGraph& {
+    if (!csrs[i].has_value()) csrs[i].emplace(patterns[i].graph);
+    return *csrs[i];
+  };
   std::vector<size_t> kept;
   for (size_t i = 0; i < patterns.size(); ++i) {
     const graph::Graph& p = patterns[i].graph;
@@ -33,7 +44,8 @@ std::vector<Pattern> FilterMaximal(std::vector<Pattern> patterns) {
           (q.num_edges() == p.num_edges() &&
            q.num_vertices() > p.num_vertices());
       if (!strictly_larger) continue;
-      if (graph::IsSubgraphIsomorphic(csrs[i], csrs[k])) {
+      if (!graph::SignatureDominated(signatures[i], signatures[k])) continue;
+      if (graph::IsSubgraphIsomorphic(csr(i), csr(k))) {
         contained = true;
         break;
       }
@@ -71,19 +83,6 @@ std::vector<Pattern> FilterClosed(std::vector<Pattern> patterns) {
     if (!absorbed) closed.push_back(p);
   }
   return closed;
-}
-
-MineResult MineMaximalGSpan(CsrDatabase db, const MinerConfig& config) {
-  MineResult result = MineFrequentGSpan(db, config);
-  result.patterns = FilterMaximal(std::move(result.patterns));
-  return result;
-}
-
-MineResult MineMaximalGSpan(const graph::GraphDatabase& db,
-                            const MinerConfig& config) {
-  MineResult result = MineFrequentGSpan(db, config);
-  result.patterns = FilterMaximal(std::move(result.patterns));
-  return result;
 }
 
 MineResult MineClosedGSpan(const graph::GraphDatabase& db,

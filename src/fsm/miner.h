@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "graph/csr.h"
@@ -16,6 +17,10 @@ struct Pattern {
   graph::Graph graph;               // the pattern itself
   int64_t support = 0;              // number of database graphs containing it
   std::vector<int32_t> supporting;  // ascending DB indices of those graphs
+  // gSpan only: DfsCode::ToString() of the minimal DFS code the search
+  // found `graph` under (vertex k of `graph` is DFS id k), which equals
+  // CanonicalCode(graph). Empty from the other miners.
+  std::string code;
 };
 
 // Shared knobs for the frequent-subgraph miners. Caps beyond min_support
@@ -59,22 +64,28 @@ using CsrDatabase = std::span<const graph::CsrGraph* const>;
 
 // Pattern-growth miner (gSpan: minimum DFS codes + rightmost-path
 // extension over projected embeddings). Each search state scans its
-// embeddings once, in database order:
-//   * History: an embedding is expanded into one set of epoch-stamped
-//     used-edge/used-vertex buffers and a DFS id -> vertex map, reused
-//     by every embedding of the run (no per-embedding allocation).
+// embeddings once, in database order (DESIGN.md §14):
+//   * Scratch: all working memory (embedding arena, scan buffers, slot
+//     tables, History) is per thread, reset on entry and grown only.
+//   * History: an embedding is expanded into epoch-stamped
+//     used-edge/used-vertex buffers and a DFS id -> vertex map; the next
+//     embedding of the scan restamps only the part of its chain below
+//     the common ancestor when that is the shorter way.
 //   * Grouping: each extension instance goes into a flat buffer under
-//     its key's bucket; buckets are visited in DfsEdgeLess order (roots
-//     in label-triple order) and keep their instances in scan order.
+//     its key's bucket, found through a direct slot indexed by the
+//     key's attachment point and label ranks; buckets are visited in
+//     DfsEdgeLess order (roots in label-triple order) and keep their
+//     instances in scan order.
 //   * Support before allocation: a key's support is its number of gid
 //     runs, counted during the scan; only keys reaching min_support get
 //     child embeddings in the arena.
 //   * Minimality: each frequent child is checked with the early-exit
 //     IsMinimalDfsCode before it is expanded or reported.
 // Patterns are reported in DFS-search order, which downstream unstable
-// sorts (FilterMaximal, the final ranking) make part of the output.
-// The engine reads only the borrowed CSRs; GraphSig's region tasks pass
-// the per-mine flattenings of their cuts (core/mine_pipeline.h).
+// sorts make part of the output, each with its minimal code in
+// Pattern::code. The engine reads only the borrowed CSRs; GraphSig's
+// region tasks pass the per-mine flattenings of their cuts
+// (core/mine_pipeline.h).
 MineResult MineFrequentGSpan(CsrDatabase db, const MinerConfig& config);
 // Flattens every graph of `db` (one graph/csr_builds each) and forwards.
 MineResult MineFrequentGSpan(const graph::GraphDatabase& db,

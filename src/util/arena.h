@@ -2,9 +2,10 @@
 #define GRAPHSIG_UTIL_ARENA_H_
 
 // Task-scoped monotonic bump allocator for the mining recursions
-// (DESIGN.md §14). One Arena belongs to one task (one FvMine call, one
-// gSpan projection) and never crosses threads; pointers into it die with
-// the task. Allocation is a pointer bump; freeing happens either all at
+// (DESIGN.md §14). One Arena serves one task at a time (one FvMine call,
+// one gSpan run; gSpan's is reused by the next run on its thread after a
+// Reset) and never crosses threads; pointers into it die with the task.
+// Allocation is a pointer bump; freeing happens either all at
 // once (Reset) or stack-wise (Position/Rewind around a recursion frame),
 // which is exactly the shape of a depth-first search: everything a frame
 // allocates is dead once the frame's subtree has been explored.
@@ -109,7 +110,8 @@ class Arena {
 
  private:
   struct Chunk {
-    std::unique_ptr<char[]> data;  // operator new[] alignment (>= 16)
+    // operator new[] alignment (>= 16); not zeroed, nothing reads it unset.
+    std::unique_ptr<char[]> data;
     size_t size = 0;
     size_t used = 0;
   };
@@ -117,7 +119,8 @@ class Arena {
   void AddChunk(size_t min_bytes) {
     size_t size = chunks_.empty() ? min_chunk_bytes_ : chunks_.back().size * 2;
     if (size < min_bytes) size = min_bytes;
-    chunks_.push_back({std::make_unique<char[]>(size), size, 0});
+    chunks_.push_back(
+        {std::make_unique_for_overwrite<char[]>(size), size, 0});
     active_ = chunks_.size() - 1;
   }
 

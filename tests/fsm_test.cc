@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "fsm/dfs_code.h"
 #include "fsm/maximal.h"
 #include "fsm/miner.h"
 #include "graph/isomorphism.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace graphsig::fsm {
@@ -325,6 +329,19 @@ uint64_t HashMineOutput(const MineResult& result) {
   return h;
 }
 
+// Seeded databases with cycles and repeated labels, and their configs.
+GraphDatabase PinnedDatabase(int seed) {
+  return RandomDatabase(8000 + seed, 10, 8 + seed % 3, 3 + seed % 4,
+                        2 + seed % 3, 2);
+}
+
+MinerConfig PinnedConfig(int seed) {
+  MinerConfig config;
+  config.min_support = 2 + seed % 3;
+  config.max_edges = 6;
+  return config;
+}
+
 // Downstream stages sort mined patterns with unstable std::sort, so the
 // emission order is part of the artifact. These hashes pin the order of
 // the reference implementation on seeded databases with cycles and
@@ -337,12 +354,8 @@ TEST(GSpanTest, EmissionOrderIsPinned) {
       0xe468d9252fbd9cdfull,
   };
   for (int seed = 0; seed < 10; ++seed) {
-    GraphDatabase db = RandomDatabase(8000 + seed, 10, 8 + seed % 3,
-                                      3 + seed % 4, 2 + seed % 3, 2);
-    MinerConfig config;
-    config.min_support = 2 + seed % 3;
-    config.max_edges = 6;
-    const MineResult result = MineFrequentGSpan(db, config);
+    const GraphDatabase db = PinnedDatabase(seed);
+    const MineResult result = MineFrequentGSpan(db, PinnedConfig(seed));
     EXPECT_FALSE(result.patterns.empty()) << "seed " << seed;
     EXPECT_EQ(HashMineOutput(result), kExpected[seed])
         << "seed " << seed << ": 0x" << std::hex << HashMineOutput(result);
@@ -484,6 +497,223 @@ TEST(GSpanTest, IsMinimalAgreesOnPerturbedCodes) {
   }
   EXPECT_GT(minimal, 20);
   EXPECT_LT(minimal, checked - 20);
+}
+
+// Region tasks key their dedup maps with Pattern::code, the minimal DFS
+// code gSpan found the pattern under, in place of CanonicalCode.
+TEST(GSpanTest, PatternCodeIsCanonicalCode) {
+  for (int seed = 0; seed < 10; ++seed) {
+    const GraphDatabase db = PinnedDatabase(seed);
+    const MinerConfig config = PinnedConfig(seed);
+    size_t checked = 0;
+    for (const MineResult& result :
+         {MineFrequentGSpan(db, config), MineMaximalGSpan(db, config)}) {
+      for (const Pattern& p : result.patterns) {
+        EXPECT_EQ(p.code, CanonicalCode(p.graph)) << "seed " << seed;
+        ++checked;
+      }
+    }
+    EXPECT_GT(checked, 0u) << "seed " << seed;
+  }
+}
+
+// Each pattern's graph, support, supporting gids and code, one line per
+// pattern in output order.
+std::vector<std::string> Lines(const std::vector<Pattern>& patterns) {
+  std::vector<std::string> lines;
+  for (const Pattern& p : patterns) {
+    std::string line = p.graph.ToString() + " support " +
+                       std::to_string(p.support) + " in";
+    for (int32_t gid : p.supporting) line += " " + std::to_string(gid);
+    lines.push_back(line + " code " + p.code);
+  }
+  return lines;
+}
+
+std::vector<std::string> SortedLines(const std::vector<Pattern>& patterns) {
+  std::vector<std::string> lines = Lines(patterns);
+  std::sort(lines.begin(), lines.end());
+  return lines;
+}
+
+// MineMaximalGSpan never materializes a pattern whose scan finds a
+// frequent rightmost extension, yet it must return what FilterMaximal
+// keeps of the full enumeration: the same set on complete runs, and on
+// runs max_patterns stops (where held patterns are released) the very
+// same list.
+TEST(MaximalTest, MaximalEmissionMatchesFilteredEnumeration) {
+  int capped = 0;
+  for (int seed = 0; seed < 10; ++seed) {
+    const GraphDatabase db = PinnedDatabase(seed);
+    std::vector<MinerConfig> configs(6, PinnedConfig(seed));
+    configs[1].max_edges = 3;
+    configs[2].max_edges = 1;
+    configs[3].max_patterns = 5;
+    configs[4].max_patterns = 40;
+    configs[4].max_edges = 4;
+    configs[5].include_single_vertices = true;
+    configs[5].min_edges = 0;
+    configs[5].min_support = 2;
+    for (size_t c = 0; c < configs.size(); ++c) {
+      const MinerConfig& config = configs[c];
+      const MineResult all = MineFrequentGSpan(db, config);
+      const std::vector<Pattern> expected = FilterMaximal(all.patterns);
+      const MineResult got = MineMaximalGSpan(db, config);
+      EXPECT_EQ(got.completed, all.completed);
+      EXPECT_EQ(got.states_expanded, all.states_expanded);
+      EXPECT_EQ(got.embedding_arena_bytes, all.embedding_arena_bytes);
+      if (all.completed) {
+        EXPECT_EQ(SortedLines(got.patterns), SortedLines(expected))
+            << "seed " << seed << " config " << c;
+      } else {
+        ++capped;
+        EXPECT_EQ(Lines(got.patterns), Lines(expected))
+            << "seed " << seed << " config " << c;
+      }
+    }
+  }
+  EXPECT_GE(capped, 15);
+}
+
+std::map<std::string, uint64_t> GSpanCounters() {
+  std::map<std::string, uint64_t> values;
+  for (const auto& [name, value] :
+       obs::MetricsRegistry::Global().WorkValues()) {
+    if (name.rfind("gspan/", 0) == 0) values.emplace(name, value);
+  }
+  return values;
+}
+
+struct CountedRun {
+  std::vector<std::string> lines;
+  bool completed = false;
+  std::map<std::string, uint64_t> counters;  // gspan/* deltas
+};
+
+CountedRun MineCounted(const GraphDatabase& db, const MinerConfig& config,
+                       bool maximal) {
+  const std::map<std::string, uint64_t> start = GSpanCounters();
+  const MineResult result = maximal ? MineMaximalGSpan(db, config)
+                                    : MineFrequentGSpan(db, config);
+  CountedRun run;
+  run.lines = Lines(result.patterns);
+  run.completed = result.completed;
+  for (const auto& [name, value] : GSpanCounters()) {
+    auto it = start.find(name);
+    run.counters[name] = value - (it == start.end() ? 0 : it->second);
+  }
+  return run;
+}
+
+// The miner's per-thread scratch (arena, scan buffers, slot tables,
+// History stamps, held patterns) must carry nothing from one run into
+// the next: a task mined on a fresh thread, and the same task mined
+// after a larger run and after a capped run on one thread, give the same
+// patterns and the same gspan/* work.
+TEST(GSpanTest, ScratchReuseIsInvisible) {
+  const GraphDatabase small = PinnedDatabase(0);
+  const MinerConfig small_config = PinnedConfig(0);
+  const GraphDatabase large = RandomDatabase(9000, 12, 14, 6, 3, 2);
+  MinerConfig large_config;
+  large_config.min_support = 2;
+  large_config.max_edges = 7;
+  MinerConfig capped_config = large_config;
+  capped_config.max_patterns = 25;
+  for (bool maximal : {false, true}) {
+    CountedRun alone;
+    std::thread([&] { alone = MineCounted(small, small_config, maximal); })
+        .join();
+    CountedRun after_large;
+    CountedRun after_capped;
+    std::thread([&] {
+      const CountedRun big = MineCounted(large, large_config, maximal);
+      EXPECT_GT(big.counters.at("gspan/embeddings_arena_bytes"),
+                alone.counters.at("gspan/embeddings_arena_bytes"));
+      after_large = MineCounted(small, small_config, maximal);
+      EXPECT_FALSE(MineCounted(large, capped_config, maximal).completed);
+      after_capped = MineCounted(small, small_config, maximal);
+      // Short runs leave History stamps at small epochs, where a run that
+      // restarted its epoch would read them as its own.
+      for (size_t gid = 0; gid < small.size(); ++gid) {
+        GraphDatabase one;
+        one.Add(small.graph(gid));
+        MinerConfig shallow;
+        shallow.max_edges = 2;
+        MineCounted(one, shallow, maximal);
+        const CountedRun again = MineCounted(small, small_config, maximal);
+        EXPECT_EQ(again.lines, alone.lines)
+            << "maximal " << maximal << " after graph " << gid;
+        EXPECT_EQ(again.counters, alone.counters)
+            << "maximal " << maximal << " after graph " << gid;
+      }
+    }).join();
+    ASSERT_FALSE(alone.lines.empty());
+    EXPECT_EQ(after_large.lines, alone.lines) << "maximal " << maximal;
+    EXPECT_EQ(after_large.counters, alone.counters) << "maximal " << maximal;
+    EXPECT_EQ(after_capped.lines, alone.lines) << "maximal " << maximal;
+    EXPECT_EQ(after_capped.counters, alone.counters)
+        << "maximal " << maximal;
+  }
+}
+
+GraphDatabase Relabel(const GraphDatabase& db,
+                      const std::vector<Label>& vertex_labels,
+                      const std::vector<Label>& edge_labels) {
+  GraphDatabase out;
+  for (const Graph& g : db.graphs()) {
+    Graph h(g.id());
+    for (Label l : g.vertex_labels()) h.AddVertex(vertex_labels[l]);
+    for (const graph::EdgeRecord& e : g.edges()) {
+      h.AddEdge(e.u, e.v, edge_labels[e.label]);
+    }
+    out.Add(std::move(h));
+  }
+  return out;
+}
+
+// Extension slots index labels by their per-run rank. Sparse labels (too
+// wide a span for the direct rank table) and negative ones must mine
+// what their ranks mine: under an order-preserving relabeling, the same
+// patterns in the same order, and the brute-force frequent set. A
+// pendant vertex with a label of its own (base label 3, mapped between
+// the others) is in no frequent root, so that label has no rank.
+TEST(GSpanTest, SlotsHandleSparseAndNegativeLabels) {
+  const std::vector<std::pair<std::vector<Label>, std::vector<Label>>>
+      relabelings = {
+          {{-5, 7, 1000000, 500}, {-3, 1000000}},  // sparse, negative
+          {{-40, -39, -2, -20}, {-7, -1}},         // dense, all negative
+          {{-2000000000, 0, 2000000000, 5}, {0, 5}},  // span beyond int32
+      };
+  for (int seed = 0; seed < 5; ++seed) {
+    GraphDatabase db = RandomDatabase(8100 + seed, 8, 7, 3, 3, 2);
+    Graph& with_pendant = db.mutable_graph(0);
+    with_pendant.AddEdge(0, with_pendant.AddVertex(3), 0);
+    MinerConfig config;
+    config.min_support = 2;
+    config.max_edges = 5;
+    const MineResult base = MineFrequentGSpan(db, config);
+    for (const auto& [vertex_labels, edge_labels] : relabelings) {
+      const GraphDatabase relabeled = Relabel(db, vertex_labels, edge_labels);
+      GraphDatabase base_patterns;
+      for (const Pattern& p : base.patterns) base_patterns.Add(p.graph);
+      const GraphDatabase expected_graphs =
+          Relabel(base_patterns, vertex_labels, edge_labels);
+      const MineResult got = MineFrequentGSpan(relabeled, config);
+      ASSERT_EQ(got.patterns.size(), base.patterns.size())
+          << "seed " << seed;
+      for (size_t i = 0; i < got.patterns.size(); ++i) {
+        EXPECT_EQ(got.patterns[i].graph.ToString(),
+                  expected_graphs.graph(i).ToString())
+            << "seed " << seed << " pattern " << i;
+        EXPECT_EQ(got.patterns[i].supporting, base.patterns[i].supporting);
+        EXPECT_EQ(got.patterns[i].code, CanonicalCode(got.patterns[i].graph));
+      }
+      EXPECT_EQ(ToCanonicalMap(got),
+                BruteForceFrequent(relabeled, config.min_support, 5));
+      EXPECT_EQ(SortedLines(MineMaximalGSpan(relabeled, config).patterns),
+                SortedLines(FilterMaximal(got.patterns)));
+    }
+  }
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "data/datasets.h"
 #include "features/feature_space.h"
 #include "features/rwr.h"
+#include "fsm/dfs_code.h"
 #include "fsm/maximal.h"
 #include "fsm/miner.h"
 #include "graph/csr.h"
@@ -64,10 +65,9 @@ struct PlannedScreen {
   std::vector<Graph> cuts;  // by slot
 };
 
-PlannedScreen PlanScreen(const char* name, uint64_t seed,
-                         const GraphSigConfig& config) {
+PlannedScreen PlanScreen(GraphDatabase db, const GraphSigConfig& config) {
   PlannedScreen out;
-  out.db = Screen(name, seed);
+  out.db = std::move(db);
   const features::FeatureSpace space =
       features::FeatureSpace::ForChemicalDatabase(out.db,
                                                   config.top_k_atoms);
@@ -167,7 +167,7 @@ TEST(RegionCsrTest, BorrowedCsrsMatchGraphDatabasePath) {
   size_t tasks_checked = 0;
   for (const auto& [name, seed] : kScreens) {
     SCOPED_TRACE(std::string(name) + " seed " + std::to_string(seed));
-    const PlannedScreen screen = PlanScreen(name, seed, config);
+    const PlannedScreen screen = PlanScreen(Screen(name, seed), config);
     ASSERT_FALSE(screen.plan.tasks.empty());
     const std::vector<CsrGraph> region_csrs(screen.cuts.begin(),
                                             screen.cuts.end());
@@ -220,6 +220,40 @@ TEST(RegionCsrTest, BorrowedCsrsMatchGraphDatabasePath) {
     }
   }
   EXPECT_GE(tasks_checked, 30u);
+}
+
+// Region tasks key their dedup maps with gSpan's own minimal codes
+// (fsm::Pattern::code) instead of recomputing fsm::CanonicalCode. On
+// every radius-4 region task of the 418-molecule UACC-257 screen (seed
+// 1), each maximal pattern's code must be its CanonicalCode.
+TEST(GSpanRegionTest, CodesAreCanonicalOnUacc257Tasks) {
+  GraphSigConfig config;
+  config.cutoff_radius = 4;
+  config.num_threads = 1;
+  data::DatasetOptions options;
+  options.size = 418;
+  options.seed = 1;
+  const PlannedScreen screen =
+      PlanScreen(data::MakeCancerScreen("UACC-257", options), config);
+  const std::vector<CsrGraph> region_csrs(screen.cuts.begin(),
+                                          screen.cuts.end());
+  size_t patterns_checked = 0;
+  for (const pipeline::RegionTask& task : screen.plan.tasks) {
+    const std::vector<const CsrGraph*> regions = pipeline::TaskRegions(
+        screen.plan, task, screen.node_vectors, region_csrs);
+    fsm::MinerConfig miner_config;
+    miner_config.min_support = std::max<int64_t>(
+        2, fsm::SupportFromPercent(config.fsg_freq_percent, regions.size()));
+    miner_config.max_edges = config.fsm_max_edges;
+    miner_config.max_patterns = config.fsm_max_patterns;
+    for (const fsm::Pattern& p :
+         fsm::MineMaximalGSpan(regions, miner_config).patterns) {
+      ASSERT_EQ(p.code, fsm::CanonicalCode(p.graph));
+      ++patterns_checked;
+    }
+  }
+  EXPECT_GE(screen.plan.tasks.size(), 1000u);
+  EXPECT_GE(patterns_checked, 10000u);
 }
 
 // Counts containment the slow way: VF2 on every (pattern, graph) pair.
