@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 
 #include "features/packed_vector_set.h"
 #include "fsm/maximal.h"
@@ -220,15 +221,21 @@ void ComputeDbFrequencies(const GraphSigConfig& config,
     targets[g] = graph::CsrGraph(db.graph(g));
     profiles[g] = graph::BuildContainmentSignature(db.graph(g));
   });
+  // Each pattern's VF2 visit order is built once too, ranking labels by
+  // their counts in the mined database.
+  const std::map<graph::Label, int64_t> label_counts =
+      db.VertexLabelCounts();
   util::ParallelFor(config.num_threads, subgraphs->size(), [&](size_t i) {
     SignificantSubgraph& sg = (*subgraphs)[i];
     const graph::ContainmentSignature signature =
         graph::BuildContainmentSignature(sg.subgraph);
     const graph::CsrGraph pattern(sg.subgraph);
+    const std::vector<graph::VertexId> order =
+        graph::PatternVisitOrder(pattern, label_counts);
     int64_t frequency = 0;
     for (size_t g = 0; g < targets.size(); ++g) {
       if (graph::SignatureDominated(signature, profiles[g]) &&
-          graph::IsSubgraphIsomorphic(pattern, targets[g])) {
+          graph::IsSubgraphIsomorphic(pattern, order, targets[g])) {
         ++frequency;
       }
     }

@@ -1,7 +1,9 @@
 #include "features/rwr.h"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 #include <span>
 
 #include "graph/csr.h"
@@ -37,51 +39,89 @@ struct RwrMetrics {
   }
 };
 
-// Accumulates per-feature mass from a stationary node distribution.
-// `in_window[v]` marks nodes reachable by the (possibly radius-confined)
-// walk; edges with an endpoint outside the window carry no mass because
-// the stationary probability there is zero.
-std::vector<double> AccumulateFeatureMass(const graph::Graph& g,
-                                          const std::vector<double>& p,
-                                          const FeatureSpace& features) {
-  std::vector<double> mass(features.size(), 0.0);
-  for (const graph::EdgeRecord& e : g.edges()) {
-    const double rate_uv =
-        g.degree(e.u) > 0 ? p[e.u] / g.degree(e.u) : 0.0;
-    const double rate_vu =
-        g.degree(e.v) > 0 ? p[e.v] / g.degree(e.v) : 0.0;
-    const graph::Label lu = g.vertex_label(e.u);
-    const graph::Label lv = g.vertex_label(e.v);
-    const int edge_slot = features.EdgeFeature(lu, lv, e.label);
-    if (edge_slot >= 0) {
-      // Feature edge: traversal in either direction feeds the edge slot.
-      mass[edge_slot] += rate_uv + rate_vu;
-    } else {
-      // Non-feature edge: arrivals feed the destination's atom slot
-      // (Section II-B: "an atom-based feature is updated only when the
-      // edge-type traversed is not in F").
-      const int slot_v = features.VertexFeature(lv);
-      if (slot_v >= 0) mass[slot_v] += rate_uv;
-      const int slot_u = features.VertexFeature(lu);
-      if (slot_u >= 0) mass[slot_u] += rate_vu;
+// Per-feature mass of a stationary node distribution, with every feature
+// lookup done once per graph: one entry per edge that feeds any slot, in
+// edge order. Each pass adds the same terms to the same slots in the same
+// order (the float-add order is part of the byte-identical output
+// contract). An edge feeds its edge-feature slot from traversals in both
+// directions; a non-feature edge feeds the destination's atom slot
+// instead (Section II-B: "an atom-based feature is updated only when the
+// edge-type traversed is not in F"). The stationary rate of traversing
+// u -> v is p[u] / degree(u).
+class FeatureMass {
+ public:
+  FeatureMass(const graph::Graph& g, const FeatureSpace& features)
+      : num_slots_(features.size()) {
+    for (const graph::EdgeRecord& e : g.edges()) {
+      const graph::Label lu = g.vertex_label(e.u);
+      const graph::Label lv = g.vertex_label(e.v);
+      const Entry entry = {static_cast<size_t>(e.u),
+                           static_cast<size_t>(e.v),
+                           g.degree(e.u),
+                           g.degree(e.v),
+                           features.EdgeFeature(lu, lv, e.label),
+                           features.VertexFeature(lu),
+                           features.VertexFeature(lv)};
+      if (entry.edge_slot >= 0 || entry.slot_u >= 0 || entry.slot_v >= 0) {
+        entries_.push_back(entry);
+      }
     }
   }
-  double total = 0.0;
-  for (double m : mass) total += m;
-  if (total > 0.0) {
-    for (double& m : mass) m /= total;
+
+  size_t num_slots() const { return num_slots_; }
+  size_t num_entries() const { return entries_.size(); }
+
+  // Writes the feature mass of the node distribution p (entry v at
+  // p[v * stride]) to *mass, normalized to sum 1 when any mass exists,
+  // and returns the total before normalization.
+  double Accumulate(const double* p, size_t stride,
+                    std::vector<double>* mass) const {
+    mass->assign(num_slots_, 0.0);
+    double* m = mass->data();
+    for (const Entry& e : entries_) {
+      const double rate_uv = p[e.u * stride] / e.degree_u;
+      const double rate_vu = p[e.v * stride] / e.degree_v;
+      if (e.edge_slot >= 0) {
+        m[e.edge_slot] += rate_uv + rate_vu;
+      } else {
+        if (e.slot_v >= 0) m[e.slot_v] += rate_uv;
+        if (e.slot_u >= 0) m[e.slot_u] += rate_vu;
+      }
+    }
+    double total = 0.0;
+    for (double x : *mass) total += x;
+    if (total > 0.0) {
+      for (double& x : *mass) x /= total;
+    }
+    return total;
   }
-  return mass;
-}
 
-}  // namespace
-
-namespace {
+ private:
+  struct Entry {
+    size_t u;
+    size_t v;
+    int32_t degree_u;  // >= 1: the edge itself
+    int32_t degree_v;
+    int edge_slot;
+    int slot_u;
+    int slot_v;
+  };
+  size_t num_slots_;
+  std::vector<Entry> entries_;
+};
 
 // Sources the unconfined walk power-iterates together: one column per
 // source in a row-major n x kRwrBlock buffer, so one pass over the
 // adjacency serves the whole block and scratch stays O(n * kRwrBlock).
 constexpr int kRwrBlock = 8;
+
+// The block kernel's default early-stop hook: every column runs to
+// convergence or max_iterations.
+struct NeverStop {
+  bool operator()(size_t, uint64_t, double, const double*, size_t) const {
+    return false;
+  }
+};
 
 // Unconfined walk (radius <= 0): no window bookkeeping, effective
 // out-degree is the plain degree. This is the hot loop of both GraphSig
@@ -91,6 +131,12 @@ constexpr int kRwrBlock = 8;
 // `emit(k, distribution)` — k indexes `sources` — then zeroed and
 // refilled with the next pending source.
 //
+// `stop(k, iteration, delta, cell, stride)` is asked after every step a
+// column has not converged: column k's distribution is at cell[v * stride]
+// and delta is its L1 step. Returning true retires the column without an
+// emit (the hook has recorded what it needs); NeverStop keeps the plain
+// walk.
+//
 // Each column does exactly the float ops of a one-source iteration, in
 // the same order: (1-α)·p/deg per vertex, neighbor adds in (v ascending,
 // adjacency) order, the restart term, then the delta sum in v order.
@@ -99,9 +145,10 @@ constexpr int kRwrBlock = 8;
 // one-source walk; rwr/float_ops counts only its nonzero p[v], as that
 // walk did. Templated over the graph representation (Graph and CsrGraph
 // list neighbors in the same order).
-template <int kWidth, typename GraphT, typename Emit>
+template <int kWidth, typename GraphT, typename Emit,
+          typename Stop = NeverStop>
 void RwrBlock(const GraphT& g, std::span<const graph::VertexId> sources,
-              const RwrConfig& config, Emit&& emit) {
+              const RwrConfig& config, Emit&& emit, Stop&& stop = {}) {
   const double alpha = config.restart_prob;
   const graph::VertexId n = g.num_vertices();
   const size_t cells = static_cast<size_t>(n) * kWidth;
@@ -178,8 +225,10 @@ void RwrBlock(const GraphT& g, std::span<const graph::VertexId> sources,
       const size_t k = static_cast<size_t>(slot[j]);
       ++iters[k];
       flops[k] += step_flops[j] + 2 * static_cast<uint64_t>(n);
-      if (delta[j] >= config.epsilon &&
-          iters[k] < static_cast<uint64_t>(config.max_iterations)) {
+      const bool converged =
+          delta[j] < config.epsilon ||
+          iters[k] >= static_cast<uint64_t>(config.max_iterations);
+      if (!converged && !stop(k, iters[k], delta[j], &p[j], kWidth)) {
         continue;
       }
       for (graph::VertexId v = 0; v < n; ++v) {
@@ -187,7 +236,7 @@ void RwrBlock(const GraphT& g, std::span<const graph::VertexId> sources,
         column[v] = cell;
         cell = 0.0;
       }
-      emit(k, column);
+      if (converged) emit(k, column);
       --active;
       load(j);
     }
@@ -267,6 +316,114 @@ std::vector<double> RwrStationaryImpl(const GraphT& g,
   return distribution;
 }
 
+// Every vertex of `g` as a source: the confined walk one at a time in
+// order, the unconfined one through the block kernel with `stop`.
+template <typename Emit, typename Stop>
+void AllSources(const graph::CsrGraph& g, const RwrConfig& config,
+                Emit&& emit, Stop&& stop) {
+  GS_CHECK_GT(config.restart_prob, 0.0);
+  GS_CHECK_LE(config.restart_prob, 1.0);
+  if (config.radius > 0) {
+    for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
+      emit(v, RwrConfined(g, v, config));
+    }
+    return;
+  }
+  std::vector<graph::VertexId> sources(static_cast<size_t>(g.num_vertices()));
+  for (size_t v = 0; v < sources.size(); ++v) {
+    sources[v] = static_cast<graph::VertexId>(v);
+  }
+  RwrBlock<kRwrBlock>(g, sources, config,
+                      [&](size_t v, const std::vector<double>& p) {
+                        emit(static_cast<graph::VertexId>(v), p);
+                      },
+                      stop);
+}
+
+// Certified early stop of the block walk for GraphToVectors (DESIGN.md
+// §14), which keeps only Discretize(mass) of each source's distribution.
+// A column may stop at step k once its bins provably equal those of the
+// iterate the plain walk returns (first δ < ε, or max_iterations):
+//   - the power step, with dangling mass sent back to the source, is an
+//     L1 contraction with factor 1-α, so no later iterate is farther
+//     than D = δ_k (1-α)/α from p_k;
+//   - the feature mass is linear with column sums <= 1, so normalizing
+//     by its total T moves each slot by at most 2D/T.
+// A column is certified when every slot's bins·m_i lies farther than
+// bins·2(D + slop)/T from a rounding boundary (x.5); slop bounds the
+// float rounding of the walk and of both mass passes. A slot exactly on
+// a boundary never certifies, so such a column runs to the plain stop.
+// After a failed check the next one is scheduled for the step at which
+// the contraction bound first clears the closest boundary.
+class CertifiedBins {
+ public:
+  CertifiedBins(const graph::CsrGraph& g, const FeatureMass& mass,
+                const RwrConfig& config, std::vector<NodeVector>* out)
+      : mass_(mass),
+        alpha_(config.restart_prob),
+        bins_(config.bins),
+        next_check_(static_cast<size_t>(g.num_vertices()), 1),
+        out_(out) {
+    int max_degree = 0;
+    for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
+      max_degree = std::max(max_degree, g.degree(v));
+    }
+    // Per-step rounding of the walk is at most (max_degree + n + 3) ulps
+    // of its unit mass, and the contraction sums it to at most 1/α per
+    // remaining step; each mass pass adds (E + S + n + 4) ulps. Doubled
+    // for margin.
+    const double n = g.num_vertices();
+    const double steps = std::max(config.max_iterations, 1);
+    slop_ = 4.0 * std::numeric_limits<double>::epsilon() *
+            (steps * (max_degree + n + 3.0) / alpha_ +
+             static_cast<double>(mass.num_entries() + mass.num_slots()) +
+             n + 4.0);
+  }
+
+  bool operator()(size_t v, uint64_t iteration, double delta,
+                  const double* p, size_t stride) {
+    if (iteration < next_check_[v]) return false;
+    const double total = mass_.Accumulate(p, stride, &buffer_);
+    // With no room to certify (no mass yet, or a slot near a boundary),
+    // back off geometrically.
+    next_check_[v] = 2 * iteration;
+    if (!(total > 0.0)) return false;
+    // bins·m_i moves by at most `scale` per unit of L1 move of p.
+    const double scale = 2.0 * bins_ / total;
+    // Distance of the nearest bins·m_i to a rounding boundary, less what
+    // the float slop may use.
+    double closest = 0.5;
+    for (double m : buffer_) {
+      const double x = m * bins_;
+      closest = std::min(closest, std::abs(x - std::floor(x) - 0.5));
+    }
+    const double room = closest - scale * slop_;
+    const double bound = scale * delta * (1.0 - alpha_) / alpha_;
+    if (bound < room) {
+      (*out_)[v].values = Discretize(buffer_, bins_);
+      return true;
+    }
+    if (room > 0.0) {
+      // The first step whose bound, shrinking by 1-α a step, falls
+      // below `room`.
+      const double steps =
+          std::ceil(std::log(room / bound) / std::log1p(-alpha_));
+      next_check_[v] =
+          iteration + static_cast<uint64_t>(std::clamp(steps, 1.0, 1e9));
+    }
+    return false;
+  }
+
+ private:
+  const FeatureMass& mass_;
+  const double alpha_;
+  const int bins_;
+  double slop_ = 0.0;
+  std::vector<uint64_t> next_check_;
+  std::vector<NodeVector>* out_;
+  std::vector<double> buffer_;
+};
+
 }  // namespace
 
 std::vector<double> RwrStationaryDistribution(const graph::Graph& g,
@@ -283,30 +440,17 @@ std::vector<double> RwrStationaryDistribution(const graph::CsrGraph& g,
 
 void RwrAllSources(const graph::CsrGraph& g, const RwrConfig& config,
                    const RwrEmit& emit) {
-  GS_CHECK_GT(config.restart_prob, 0.0);
-  GS_CHECK_LE(config.restart_prob, 1.0);
-  if (config.radius > 0) {
-    for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
-      emit(v, RwrConfined(g, v, config));
-    }
-    return;
-  }
-  std::vector<graph::VertexId> sources(static_cast<size_t>(g.num_vertices()));
-  for (size_t v = 0; v < sources.size(); ++v) {
-    sources[v] = static_cast<graph::VertexId>(v);
-  }
-  RwrBlock<kRwrBlock>(g, sources, config,
-                      [&](size_t v, const std::vector<double>& p) {
-                        emit(static_cast<graph::VertexId>(v), p);
-                      });
+  AllSources(g, config, emit, NeverStop{});
 }
 
 std::vector<double> RwrFeatureDistribution(const graph::Graph& g,
                                            graph::VertexId source,
                                            const FeatureSpace& features,
                                            const RwrConfig& config) {
-  std::vector<double> p = RwrStationaryDistribution(g, source, config);
-  return AccumulateFeatureMass(g, p, features);
+  const std::vector<double> p = RwrStationaryDistribution(g, source, config);
+  std::vector<double> mass;
+  FeatureMass(g, features).Accumulate(p.data(), 1, &mass);
+  return mass;
 }
 
 std::vector<double> CountFeatureDistribution(const graph::Graph& g,
@@ -367,16 +511,19 @@ std::vector<NodeVector> GraphToVectors(const graph::Graph& g,
     out[v].node = v;
     out[v].node_label = g.vertex_label(v);
   }
-  // One CSR build serves every source of this graph. The mass
-  // accumulation intentionally stays on the Graph's flat edge list: its
-  // float-add order is part of the byte-identical output contract.
+  // One CSR build and one edge -> slot table serve every source of this
+  // graph.
   const graph::CsrGraph csr(g);
   if (config.featurizer == Featurizer::kRwr) {
-    RwrAllSources(csr, config,
-                  [&](graph::VertexId v, const std::vector<double>& p) {
-                    out[v].values = Discretize(
-                        AccumulateFeatureMass(g, p, features), config.bins);
-                  });
+    const FeatureMass mass(g, features);
+    std::vector<double> buffer;
+    AllSources(
+        csr, config,
+        [&](graph::VertexId v, const std::vector<double>& p) {
+          mass.Accumulate(p.data(), 1, &buffer);
+          out[v].values = Discretize(buffer, config.bins);
+        },
+        CertifiedBins(csr, mass, config, &out));
     return out;
   }
   for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {

@@ -84,8 +84,11 @@ std::vector<double> CountFeatureDistribution(const graph::Graph& g,
 // round(bins * value) per slot, clamped to [0, bins].
 FeatureVec Discretize(const std::vector<double>& distribution, int bins);
 
-// One NodeVector per node of `g` (RWR featurizer: RwrAllSources over
-// one CSR build of `g`).
+// One NodeVector per node of `g` (RWR featurizer: the RwrAllSources walk
+// over one CSR build of `g`). An unconfined walk stops a source early
+// once its discretized vectors are certified to equal those of the fully
+// iterated walk (DESIGN.md §14), so the vectors are identical but
+// rwr/power_iterations and rwr/float_ops count only the steps run.
 std::vector<NodeVector> GraphToVectors(const graph::Graph& g,
                                        int32_t graph_index,
                                        const FeatureSpace& features,

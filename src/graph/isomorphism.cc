@@ -1,6 +1,8 @@
 #include "graph/isomorphism.h"
 
 #include <algorithm>
+#include <map>
+#include <span>
 
 #include "graph/csr.h"
 #include "obs/metrics.h"
@@ -26,23 +28,74 @@ MatcherScratch& ThreadScratch() {
   return scratch;
 }
 
+// The connected visit order of `pattern` (DESIGN.md §8): seeded at the
+// rarest vertex, then always the frontier vertex (adjacent to placed
+// ones) with most placed neighbors, ties by rarity, then by index.
+// Disconnected patterns continue with a fresh rare seed per component.
+// `rarity(v)` ranks pattern vertex v's label, lower = rarer.
+template <typename Rarity>
+void ConnectedVisitOrder(const CsrGraph& pattern, Rarity&& rarity,
+                         std::vector<uint8_t>* placed,
+                         std::vector<VertexId>* order) {
+  const int n = pattern.num_vertices();
+  placed->assign(n, 0);
+  order->clear();
+  while (static_cast<int>(order->size()) < n) {
+    VertexId best = -1;
+    int best_attached = -1;
+    int64_t best_rarity = INT64_MAX;
+    for (VertexId v = 0; v < n; ++v) {
+      if ((*placed)[v]) continue;
+      int attached = 0;
+      for (const AdjEntry& e : pattern.neighbors(v)) {
+        if ((*placed)[e.to]) ++attached;
+      }
+      if (!order->empty() && attached == 0) continue;
+      const int64_t r = rarity(v);
+      if (attached > best_attached ||
+          (attached == best_attached && r < best_rarity)) {
+        best = v;
+        best_attached = attached;
+        best_rarity = r;
+      }
+    }
+    if (best < 0) {
+      // All remaining vertices are in untouched components; seed one.
+      for (VertexId v = 0; v < n; ++v) {
+        if ((*placed)[v]) continue;
+        const int64_t r = rarity(v);
+        if (best < 0 || r < best_rarity) {
+          best = v;
+          best_rarity = r;
+        }
+      }
+    }
+    (*placed)[best] = 1;
+    order->push_back(best);
+  }
+}
+
 // Shared backtracking state for one (pattern, target) match run over
 // borrowed CSRs, so the inner feasibility / candidate loops walk
 // contiguous half-edge arrays (DESIGN.md §14). Callers that match one
-// graph many times build its CSR once and pass it in.
+// graph many times build its CSR once and pass it in; callers that match
+// one pattern many times pass its visit order too, else the order is
+// derived per run with rarity counted in the target.
 class Matcher {
  public:
-  Matcher(const CsrGraph& pattern, const CsrGraph& target, uint64_t limit)
+  Matcher(const CsrGraph& pattern, const CsrGraph& target, uint64_t limit,
+          std::span<const VertexId> order = {})
       : pattern_(pattern),
         target_(target),
         limit_(limit),
         scratch_(ThreadScratch()),
-        order_(scratch_.order),
+        order_(order),
         pattern_to_target_(scratch_.pattern_to_target),
         target_used_(scratch_.target_used) {
     pattern_to_target_.assign(pattern.num_vertices(), -1);
     target_used_.assign(target.num_vertices(), 0);
-    BuildOrder();
+    if (order_.empty()) BuildOrder();
+    GS_CHECK_EQ(order_.size(), static_cast<size_t>(pattern.num_vertices()));
   }
 
   // Runs the search. Returns the number of embeddings found (up to the
@@ -61,8 +114,8 @@ class Matcher {
     }
     Extend(0);
     // Deterministic work counter (DESIGN.md §12): the candidate pairs
-    // examined depend only on the two graphs, so the tally is
-    // byte-identical for any thread count. Flushed once per run.
+    // examined depend only on the two graphs and the visit order, so the
+    // tally is byte-identical for any thread count. Flushed once per run.
     static obs::Counter* const feasibility_checks =
         obs::MetricsRegistry::Global().GetCounter(
             "graph/vf2_feasibility_checks");
@@ -71,60 +124,21 @@ class Matcher {
   }
 
  private:
-  // Chooses a connected visit order over pattern vertices, seeded at the
-  // vertex whose label is rarest in the target (cheapest first branch).
-  // Disconnected patterns continue with a fresh rare seed per component.
+  // The visit order with rarity counted in the target: target vertices
+  // sharing each pattern vertex's label. Patterns are small, so a direct
+  // count beats building a label histogram per run.
   void BuildOrder() {
     const int n = pattern_.num_vertices();
-    // Target vertices sharing each pattern vertex's label. Patterns are
-    // small, so a direct count beats building a label histogram per run.
     std::vector<int32_t>& label_count = scratch_.label_count;
     label_count.assign(n, 0);
     for (VertexId v = 0; v < n; ++v) {
       const Label label = pattern_.vertex_label(v);
       for (Label l : target_.vertex_labels()) label_count[v] += l == label;
     }
-    auto rarity = [&](VertexId v) { return label_count[v]; };
-
-    std::vector<uint8_t>& placed = scratch_.placed;
-    placed.assign(n, 0);
-    order_.clear();
-    while (static_cast<int>(order_.size()) < n) {
-      // Prefer a frontier vertex (adjacent to placed ones) with max
-      // placed-degree, tie-broken by rarity; otherwise seed a component.
-      VertexId best = -1;
-      int best_attached = -1;
-      int best_rarity = INT32_MAX;
-      for (VertexId v = 0; v < n; ++v) {
-        if (placed[v]) continue;
-        int attached = 0;
-        for (const AdjEntry& e : pattern_.neighbors(v)) {
-          if (placed[e.to]) ++attached;
-        }
-        if (!order_.empty() && attached == 0) continue;
-        int r = rarity(v);
-        if (attached > best_attached ||
-            (attached == best_attached && r < best_rarity)) {
-          best = v;
-          best_attached = attached;
-          best_rarity = r;
-        }
-      }
-      if (best < 0) {
-        // All remaining vertices are in untouched components; seed one.
-        for (VertexId v = 0; v < n; ++v) {
-          if (!placed[v]) {
-            int r = rarity(v);
-            if (best < 0 || r < best_rarity) {
-              best = v;
-              best_rarity = r;
-            }
-          }
-        }
-      }
-      placed[best] = 1;
-      order_.push_back(best);
-    }
+    ConnectedVisitOrder(
+        pattern_, [&](VertexId v) { return label_count[v]; },
+        &scratch_.placed, &scratch_.order);
+    order_ = scratch_.order;
   }
 
   // Can pattern vertex `pv` map to target vertex `tv` given current map?
@@ -188,7 +202,7 @@ class Matcher {
   const CsrGraph& target_;
   const uint64_t limit_;
   MatcherScratch& scratch_;
-  std::vector<VertexId>& order_;
+  std::span<const VertexId> order_;
   std::vector<VertexId>& pattern_to_target_;
   std::vector<uint8_t>& target_used_;
   std::vector<VertexId>* capture_ = nullptr;
@@ -199,6 +213,29 @@ class Matcher {
 };
 
 }  // namespace
+
+std::vector<VertexId> PatternVisitOrder(
+    const CsrGraph& pattern, const std::map<Label, int64_t>& label_counts) {
+  std::vector<int64_t> count(static_cast<size_t>(pattern.num_vertices()));
+  for (VertexId v = 0; v < pattern.num_vertices(); ++v) {
+    auto it = label_counts.find(pattern.vertex_label(v));
+    count[v] = it == label_counts.end() ? 0 : it->second;
+  }
+  std::vector<uint8_t> placed;
+  std::vector<VertexId> order;
+  ConnectedVisitOrder(
+      pattern, [&](VertexId v) { return count[v]; }, &placed, &order);
+  return order;
+}
+
+bool IsSubgraphIsomorphic(const CsrGraph& pattern,
+                          std::span<const VertexId> order,
+                          const CsrGraph& target) {
+  if (pattern.num_vertices() > target.num_vertices()) return false;
+  if (pattern.num_edges() > target.num_edges()) return false;
+  Matcher matcher(pattern, target, /*limit=*/1, order);
+  return matcher.Run(nullptr) > 0;
+}
 
 bool IsSubgraphIsomorphic(const CsrGraph& pattern, const CsrGraph& target) {
   if (pattern.num_vertices() > target.num_vertices()) return false;

@@ -2,7 +2,9 @@
 #define GRAPHSIG_GRAPH_ISOMORPHISM_H_
 
 #include <cstdint>
+#include <map>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "graph/graph.h"
@@ -15,9 +17,10 @@ namespace graphsig::graph {
 // containment — the target may have extra edges among mapped vertices.
 //
 // The matcher is VF2-flavored backtracking: pattern vertices are visited
-// in a connected order starting from the globally rarest-labeled vertex,
-// with label/degree feasibility pruning. Molecule-scale graphs (tens of
-// vertices) resolve in microseconds.
+// in a connected order starting from the rarest-labeled vertex, with
+// label/degree feasibility pruning. Molecule-scale graphs (tens of
+// vertices) resolve in microseconds. The order changes how much work a
+// match takes, never its result.
 
 class CsrGraph;
 
@@ -27,6 +30,18 @@ class CsrGraph;
 // (db-frequency, the maximality filter).
 bool IsSubgraphIsomorphic(const Graph& pattern, const Graph& target);
 bool IsSubgraphIsomorphic(const CsrGraph& pattern, const CsrGraph& target);
+
+// The visit order of `pattern`, for matching it against many targets
+// without deriving an order per call: the same connected rule, with label
+// rarity read from `label_counts` (e.g. a database's
+// VertexLabelCounts(); absent labels count 0, rarest of all) instead of
+// counted in each target.
+std::vector<VertexId> PatternVisitOrder(
+    const CsrGraph& pattern, const std::map<Label, int64_t>& label_counts);
+// IsSubgraphIsomorphic with a visit order from PatternVisitOrder.
+bool IsSubgraphIsomorphic(const CsrGraph& pattern,
+                          std::span<const VertexId> order,
+                          const CsrGraph& target);
 
 // One embedding if it exists: element k is the target vertex that pattern
 // vertex k maps to.

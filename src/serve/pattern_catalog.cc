@@ -53,6 +53,7 @@ util::Result<PatternCatalog> PatternCatalog::FromArtifact(
 
   catalog.signatures_.reserve(catalog.artifact_.catalog.size());
   catalog.pattern_csrs_.reserve(catalog.artifact_.catalog.size());
+  catalog.pattern_orders_.reserve(catalog.artifact_.catalog.size());
   for (size_t i = 0; i < catalog.artifact_.catalog.size(); ++i) {
     const graph::Graph& pattern = catalog.artifact_.catalog[i].subgraph;
     if (pattern.num_vertices() == 0) {
@@ -61,6 +62,8 @@ util::Result<PatternCatalog> PatternCatalog::FromArtifact(
     }
     catalog.signatures_.push_back(graph::BuildContainmentSignature(pattern));
     catalog.pattern_csrs_.emplace_back(pattern);
+    catalog.pattern_orders_.push_back(
+        graph::PatternVisitOrder(catalog.pattern_csrs_.back(), db_counts));
     graph::Label anchor = pattern.vertex_label(0);
     for (graph::VertexId v = 1; v < pattern.num_vertices(); ++v) {
       const graph::Label label = pattern.vertex_label(v);
@@ -103,7 +106,8 @@ PatternCatalog::AnchorMatches PatternCatalog::MatchAnchors(
         continue;
       }
       ++out.iso_calls;
-      if (graph::IsSubgraphIsomorphic(pattern_csrs_[pattern_id], query)) {
+      if (graph::IsSubgraphIsomorphic(pattern_csrs_[pattern_id],
+                                      pattern_orders_[pattern_id], query)) {
         out.matched_patterns.push_back(pattern_id);
       }
     }

@@ -229,6 +229,10 @@ class PatternCatalog {
   // pattern_csrs_[i] is catalog()[i]'s adjacency, built once at load so
   // VF2 never re-flattens a pattern per query.
   std::vector<graph::CsrGraph> pattern_csrs_;
+  // pattern_orders_[i] is catalog()[i]'s VF2 visit order, with label
+  // rarity from the indexed database (the counts anchors rank by), built
+  // once at load so VF2 derives no order per query.
+  std::vector<std::vector<graph::VertexId>> pattern_orders_;
   // Inverted index: anchor label (the pattern's rarest vertex label in
   // the indexed database) -> catalog indices, ascending.
   std::map<graph::Label, std::vector<int32_t>> patterns_by_anchor_;

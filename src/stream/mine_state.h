@@ -28,9 +28,11 @@ namespace graphsig::stream {
 // allocation gSpan changed graph/csr_builds and
 // gspan/embeddings_arena_bytes; v3: region CSRs are built once per
 // distinct cut outside any capture, so region-FSM deltas no longer
-// carry graph/csr_builds). DecodeMineState rejects every other version
-// as kFailedPrecondition, and Restore then starts cold.
-inline constexpr uint32_t kMineStateVersion = 3;
+// carry graph/csr_builds; v4: featurization stops a source's walk once
+// its bins are certified, so featurize deltas carry fewer
+// rwr/power_iterations and rwr/float_ops). DecodeMineState rejects every
+// other version as kFailedPrecondition, and Restore then starts cold.
+inline constexpr uint32_t kMineStateVersion = 4;
 
 // The checkpointed cache of an IncrementalMiner: the reusable units of
 // its last mine (every core::MineCache field but the in-memory region

@@ -506,30 +506,43 @@ Graph RandomLabeledGraph(uint64_t seed, int n, int extra_edges) {
   return g;
 }
 
-TEST(RwrBlockTest, IsolatedVertexMatchesReference) {
+// A 3-path plus a vertex with no edges.
+Graph PathWithIsolatedVertex() {
   Graph g;
   for (int i = 0; i < 4; ++i) g.AddVertex(i % 2);
   g.AddEdge(0, 1, 0);
   g.AddEdge(1, 2, 1);  // vertex 3 has no edges
-  ExpectBlockMatchesReference(g, RwrConfig{});
+  return g;
 }
 
-TEST(RwrBlockTest, DisconnectedGraphMatchesReference) {
-  // A triangle, a 5-path and an isolated vertex: columns of one block
-  // walk different components.
+// A triangle, a 5-path and an isolated vertex: columns of one block
+// walk different components.
+Graph ThreeComponents() {
   Graph g;
   for (int i = 0; i < 9; ++i) g.AddVertex(i % 3);
   g.AddEdge(0, 1, 0);
   g.AddEdge(1, 2, 0);
   g.AddEdge(2, 0, 1);
   for (int i = 3; i < 7; ++i) g.AddEdge(i, i + 1, 0);
-  ExpectBlockMatchesReference(g, RwrConfig{});
+  return g;
+}
+
+Graph SingleVertex() {
+  Graph g;
+  g.AddVertex(2);
+  return g;
+}
+
+TEST(RwrBlockTest, IsolatedVertexMatchesReference) {
+  ExpectBlockMatchesReference(PathWithIsolatedVertex(), RwrConfig{});
+}
+
+TEST(RwrBlockTest, DisconnectedGraphMatchesReference) {
+  ExpectBlockMatchesReference(ThreeComponents(), RwrConfig{});
 }
 
 TEST(RwrBlockTest, SingleVertexGraphMatchesReference) {
-  Graph g;
-  g.AddVertex(2);
-  ExpectBlockMatchesReference(g, RwrConfig{});
+  ExpectBlockMatchesReference(SingleVertex(), RwrConfig{});
 }
 
 TEST(RwrBlockTest, GraphWiderThanOneBlockMatchesReference) {
@@ -606,6 +619,255 @@ TEST(RwrBlockTest, DatabaseToVectorsIsPinned) {
                            << " threads " << threads << ": 0x" << std::hex
                            << h;
     }
+  }
+}
+
+// ---------------------------------------------------------------------
+// Certified early stop: GraphToVectors may stop a source's walk once its
+// bins are proven final, so its vectors must equal the discretized mass
+// of the fully iterated walk, whatever the config.
+
+// Feature mass of a stationary distribution, the per-edge definition of
+// Section II-B in edge order, normalized to sum 1.
+std::vector<double> ReferenceMass(const Graph& g, const std::vector<double>& p,
+                                  const FeatureSpace& features) {
+  std::vector<double> mass(features.size(), 0.0);
+  for (const graph::EdgeRecord& e : g.edges()) {
+    const double rate_uv = p[e.u] / g.degree(e.u);
+    const double rate_vu = p[e.v] / g.degree(e.v);
+    const Label lu = g.vertex_label(e.u);
+    const Label lv = g.vertex_label(e.v);
+    const int edge_slot = features.EdgeFeature(lu, lv, e.label);
+    if (edge_slot >= 0) {
+      mass[edge_slot] += rate_uv + rate_vu;
+    } else {
+      const int slot_v = features.VertexFeature(lv);
+      if (slot_v >= 0) mass[slot_v] += rate_uv;
+      const int slot_u = features.VertexFeature(lu);
+      if (slot_u >= 0) mass[slot_u] += rate_vu;
+    }
+  }
+  double total = 0.0;
+  for (double m : mass) total += m;
+  if (total > 0.0) {
+    for (double& m : mass) m /= total;
+  }
+  return mass;
+}
+
+// Checks GraphToVectors on `g` against the full walk of every source;
+// returns the power iterations it saved.
+uint64_t ExpectCertifiedMatchesFullWalk(const Graph& g,
+                                        const FeatureSpace& features,
+                                        const RwrConfig& config) {
+  uint64_t full_iterations = 0;
+  std::vector<FeatureVec> expected;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    const ReferenceWalk walk = ReferenceRwr(g, v, config);
+    full_iterations += walk.iterations;
+    expected.push_back(
+        Discretize(ReferenceMass(g, walk.p, features), config.bins));
+  }
+  const RwrCounters start = RwrCounters::Now();
+  const std::vector<NodeVector> vectors =
+      GraphToVectors(g, /*graph_index=*/7, features, config);
+  const RwrCounters used = RwrCounters::Now().Since(start);
+  EXPECT_EQ(used.sources, static_cast<uint64_t>(g.num_vertices()));
+  EXPECT_LE(used.iterations, full_iterations);
+  EXPECT_EQ(vectors.size(), static_cast<size_t>(g.num_vertices()));
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    EXPECT_EQ(vectors[v].values, expected[v]) << "source " << v;
+  }
+  return full_iterations - used.iterations;
+}
+
+TEST(RwrCertifiedTest, MatchesFullWalkOnSeededScreens) {
+  uint64_t saved = 0;
+  for (const char* screen : {"MCF-7", "UACC-257"}) {
+    data::DatasetOptions options;
+    options.size = 8;
+    options.seed = 17;
+    options.active_fraction = 0.5;
+    const GraphDatabase db = data::MakeCancerScreen(screen, options);
+    const FeatureSpace space = FeatureSpace::ForChemicalDatabase(db, 5);
+    for (int bins : {1, 3, 10, 15}) {
+      for (double restart : {0.05, 0.25, 0.6}) {
+        for (int cap : {1, 3, 1000}) {
+          SCOPED_TRACE(std::string(screen) + " bins " +
+                       std::to_string(bins) + " restart " +
+                       std::to_string(restart) + " cap " +
+                       std::to_string(cap));
+          RwrConfig config;
+          config.bins = bins;
+          config.restart_prob = restart;
+          config.max_iterations = cap;
+          for (size_t i = 0; i < db.size(); ++i) {
+            saved += ExpectCertifiedMatchesFullWalk(db.graph(i), space,
+                                                    config);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(saved, 0u);  // the early stop actually fired
+}
+
+TEST(RwrCertifiedTest, MatchesFullWalkOnIsolatedDisconnectedAndTinyGraphs) {
+  std::vector<Graph> graphs = {PathWithIsolatedVertex(), ThreeComponents(),
+                               SingleVertex()};
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    graphs.push_back(RandomLabeledGraph(seed, 37, 12));
+  }
+  GraphDatabase db;
+  for (const Graph& g : graphs) db.Add(g);
+  const FeatureSpace space = FeatureSpace::ForChemicalDatabase(db, 3);
+  for (int bins : {1, 3, 10, 15}) {
+    for (double restart : {0.05, 0.25, 0.6}) {
+      for (int cap : {1, 3, 1000}) {
+        RwrConfig config;
+        config.bins = bins;
+        config.restart_prob = restart;
+        config.max_iterations = cap;
+        for (size_t i = 0; i < graphs.size(); ++i) {
+          SCOPED_TRACE("graph " + std::to_string(i) + " bins " +
+                       std::to_string(bins) + " restart " +
+                       std::to_string(restart) + " cap " +
+                       std::to_string(cap));
+          ExpectCertifiedMatchesFullWalk(graphs[i], space, config);
+        }
+      }
+    }
+  }
+}
+
+// Cliques with the given vertex labels, each joined to the next by one
+// edge (last vertex of one to the first of the next).
+Graph CliqueChain(const std::vector<std::vector<Label>>& cliques) {
+  Graph g;
+  VertexId last = -1;
+  for (const std::vector<Label>& labels : cliques) {
+    const VertexId first = g.num_vertices();
+    for (Label l : labels) g.AddVertex(l);
+    for (VertexId i = first; i < g.num_vertices(); ++i) {
+      for (VertexId j = i + 1; j < g.num_vertices(); ++j) g.AddEdge(i, j, 0);
+    }
+    if (last >= 0) g.AddEdge(last, first, 0);
+    last = g.num_vertices() - 1;
+  }
+  return g;
+}
+
+// Every bins in 1..15 for one (graph, restart): vectors equal the full
+// walk's. Returns the number of sources that differ.
+int CountBinsMismatches(const Graph& g, const FeatureSpace& features,
+                        double restart) {
+  RwrConfig config;
+  config.restart_prob = restart;
+  std::vector<std::vector<double>> mass;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    mass.push_back(ReferenceMass(g, ReferenceRwr(g, v, config).p, features));
+  }
+  int mismatches = 0;
+  for (int bins = 1; bins <= 15; ++bins) {
+    config.bins = bins;
+    const std::vector<NodeVector> vectors =
+        GraphToVectors(g, 0, features, config);
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      mismatches += vectors[v].values != Discretize(mass[v], bins);
+    }
+  }
+  return mismatches;
+}
+
+// Slowly mixing graphs, where the certification bound is nearly tight:
+// mass drifts through a bottleneck at close to the contraction rate, so
+// a bound weaker than the proof's lets a slot cross a boundary after its
+// column stopped.
+TEST(RwrCertifiedTest, MatchesFullWalkOnSlowMixingCliqueChains) {
+  // Two cliques (labels 0 and 2) joined by a 0-2 vertex path of label 1,
+  // at low restart: the L1 bound δ(1-α)/α is nearly attained.
+  FeatureSpace all;
+  for (Label l : {0, 1, 2}) all.AddVertexFeature(l);
+  for (int a = 3; a <= 8; ++a) {
+    for (int b = 3; b <= 8; ++b) {
+      for (int bridge = 0; bridge <= 2; ++bridge) {
+        std::vector<std::vector<Label>> cliques = {std::vector<Label>(a, 0)};
+        for (int i = 0; i < bridge; ++i) cliques.push_back({1});
+        cliques.push_back(std::vector<Label>(b, 2));
+        const Graph g = CliqueChain(cliques);
+        for (double restart : {0.02, 0.05, 0.1, 0.2}) {
+          EXPECT_EQ(CountBinsMismatches(g, all, restart), 0)
+              << "cliques " << a << ", " << b << " bridge " << bridge
+              << " restart " << restart;
+        }
+      }
+    }
+  }
+  // A non-feature source clique (label 5) with one feature vertex, a
+  // non-feature bottleneck clique, and a feature clique of label 0: the
+  // feature mass total T is small, so the 2/T normalization term is
+  // nearly attained too.
+  FeatureSpace sparse;
+  sparse.AddVertexFeature(0);
+  sparse.AddVertexFeature(2);
+  for (int a = 6; a <= 14; a += 2) {
+    for (int b = 2; b <= 6; b += 2) {
+      for (int c = 4; c <= 10; c += 2) {
+        std::vector<Label> source(a, 5);
+        source[0] = 2;
+        const Graph g = CliqueChain(
+            {source, std::vector<Label>(b, 5), std::vector<Label>(c, 0)});
+        for (double restart : {0.1, 0.2, 0.3}) {
+          EXPECT_EQ(CountBinsMismatches(g, sparse, restart), 0)
+              << "cliques " << a << ", " << b << ", " << c << " restart "
+              << restart;
+        }
+      }
+    }
+  }
+}
+
+// A star whose center has one leaf labeled 1 and `others` leaves labeled
+// 2, with only the leaf labels as features: from every source the leaf-1
+// slot gets exactly 1 / (1 + others) of the mass.
+Graph LeafStar(int others, FeatureSpace* features) {
+  Graph g;
+  g.AddVertex(0);
+  g.AddVertex(1);
+  g.AddEdge(0, 1, 0);
+  for (int i = 0; i < others; ++i) g.AddEdge(0, g.AddVertex(2), 0);
+  features->AddVertexFeature(1);
+  features->AddVertexFeature(2);
+  return g;
+}
+
+TEST(RwrCertifiedTest, MassOnARoundingBoundaryNeverStopsEarly) {
+  struct Case {
+    int others;
+    int bins;
+  };
+  // Slot masses 0.25 / 0.75 at bins 10 (2.5, 7.5) and bins 2 (0.5, 1.5);
+  // 0.5 / 0.5 at bins 1 and 3 (0.5, 1.5).
+  for (const Case c : {Case{3, 10}, Case{3, 2}, Case{1, 1}, Case{1, 3}}) {
+    SCOPED_TRACE("others " + std::to_string(c.others) + " bins " +
+                 std::to_string(c.bins));
+    FeatureSpace features;
+    const Graph g = LeafStar(c.others, &features);
+    RwrConfig config;
+    config.bins = c.bins;
+    EXPECT_EQ(ExpectCertifiedMatchesFullWalk(g, features, config), 0u);
+  }
+}
+
+TEST(RwrCertifiedTest, MassAwayFromBoundariesStopsEarly) {
+  // The same stars at bins where no slot is near a boundary: every
+  // source certifies at its first check.
+  for (const int others : {1, 3}) {
+    FeatureSpace features;
+    const Graph g = LeafStar(others, &features);
+    RwrConfig config;
+    config.bins = others == 1 ? 10 : 4;  // 5 / 5 and 1 / 3
+    EXPECT_GT(ExpectCertifiedMatchesFullWalk(g, features, config), 0u);
   }
 }
 

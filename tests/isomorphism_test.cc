@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <map>
+
+#include "graph/csr.h"
 #include "graph/graph.h"
 #include "graph/isomorphism.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace graphsig::graph {
@@ -173,6 +177,164 @@ TEST_P(IsomorphismPropertyTest, HostNotInProperSubgraph) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IsomorphismPropertyTest,
                          ::testing::Range(0, 20));
+
+// ---------------------------------------------------------------------
+// Per-pattern visit orders (PatternVisitOrder): built once from a label
+// count table, they must give every match the per-target order gives.
+
+uint64_t FeasibilityChecks() {
+  return obs::MetricsRegistry::Global()
+      .GetCounter("graph/vf2_feasibility_checks")
+      ->value();
+}
+
+std::map<Label, int64_t> LabelCounts(const Graph& g) {
+  std::map<Label, int64_t> counts;
+  for (Label l : g.vertex_labels()) ++counts[l];
+  return counts;
+}
+
+// A permutation of the pattern's vertices in which every vertex but one
+// seed per connected component has an earlier neighbor.
+void ExpectConnectedOrder(const Graph& pattern,
+                          const std::vector<VertexId>& order) {
+  const int n = pattern.num_vertices();
+  ASSERT_EQ(order.size(), static_cast<size_t>(n));
+  std::vector<int> placed(n, 0);
+  int seeds = 0;
+  for (VertexId v : order) {
+    ASSERT_GE(v, 0);
+    ASSERT_LT(v, n);
+    ASSERT_FALSE(placed[v]) << "vertex " << v << " placed twice";
+    bool attached = false;
+    for (const AdjEntry& e : pattern.neighbors(v)) attached |= placed[e.to];
+    seeds += attached ? 0 : 1;
+    placed[v] = 1;
+  }
+  int components = 0;
+  std::vector<int> seen(n, 0);
+  for (VertexId v = 0; v < n; ++v) {
+    if (seen[v]) continue;
+    ++components;
+    std::vector<VertexId> stack = {v};
+    seen[v] = 1;
+    while (!stack.empty()) {
+      const VertexId u = stack.back();
+      stack.pop_back();
+      for (const AdjEntry& e : pattern.neighbors(u)) {
+        if (!seen[e.to]) {
+          seen[e.to] = 1;
+          stack.push_back(e.to);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(seeds, components);
+}
+
+// Per-pattern order from `counts` against the per-target order: equal
+// match results, and a connected order.
+void ExpectOrderAgrees(const Graph& pattern, const Graph& target,
+                       const std::map<Label, int64_t>& counts) {
+  const CsrGraph p(pattern);
+  const CsrGraph t(target);
+  const std::vector<VertexId> order = PatternVisitOrder(p, counts);
+  ExpectConnectedOrder(pattern, order);
+  EXPECT_EQ(IsSubgraphIsomorphic(p, order, t), IsSubgraphIsomorphic(p, t));
+}
+
+TEST(PatternVisitOrderTest, TargetCountsReproducePerTargetOrder) {
+  // Ranked by the target's own label counts, the per-pattern order is
+  // the order the per-target run derives: same result, same work.
+  for (int seed = 0; seed < 40; ++seed) {
+    util::Rng rng(3000 + seed);
+    const Graph target = RandomConnectedGraph(&rng, 14, 6, 4, 2);
+    const Graph pattern = RandomConnectedGraph(
+        &rng, 3 + static_cast<int>(rng.NextBounded(5)), 2, 4, 2);
+    const CsrGraph p(pattern);
+    const CsrGraph t(target);
+    const std::vector<VertexId> order =
+        PatternVisitOrder(p, LabelCounts(target));
+    uint64_t before = FeasibilityChecks();
+    const bool per_pattern = IsSubgraphIsomorphic(p, order, t);
+    const uint64_t per_pattern_checks = FeasibilityChecks() - before;
+    before = FeasibilityChecks();
+    const bool per_target = IsSubgraphIsomorphic(p, t);
+    EXPECT_EQ(per_pattern, per_target) << "seed " << seed;
+    EXPECT_EQ(per_pattern_checks, FeasibilityChecks() - before)
+        << "seed " << seed;
+  }
+}
+
+TEST(PatternVisitOrderTest, RandomCountsNeverChangeTheResult) {
+  int matched = 0;
+  for (int seed = 0; seed < 60; ++seed) {
+    util::Rng rng(4000 + seed);
+    const Graph target = RandomConnectedGraph(&rng, 12, 5, 3, 2);
+    // Half the patterns are BFS balls of the target (always contained).
+    Graph pattern;
+    if (seed % 2 == 0) {
+      const auto center = static_cast<VertexId>(rng.NextBounded(12));
+      pattern = target.InducedSubgraph(target.VerticesWithinRadius(center, 1));
+    } else {
+      pattern = RandomConnectedGraph(&rng, 4, 1, 3, 2);
+    }
+    std::map<Label, int64_t> counts;
+    for (Label l = 0; l < 3; ++l) {
+      counts[l] = static_cast<int64_t>(rng.NextBounded(50));
+    }
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ExpectOrderAgrees(pattern, target, counts);
+    matched += IsSubgraphIsomorphic(pattern, target);
+  }
+  EXPECT_GT(matched, 0);
+  EXPECT_LT(matched, 60);
+}
+
+TEST(PatternVisitOrderTest, SingleVertexPattern) {
+  Graph single;
+  single.AddVertex(2);
+  const Graph with = Path({0, 2, 1}, {0, 0});
+  const Graph without = Path({0, 1, 1}, {0, 0});
+  for (const auto& counts :
+       {std::map<Label, int64_t>{}, std::map<Label, int64_t>{{2, 9}}}) {
+    ExpectOrderAgrees(single, with, counts);
+    ExpectOrderAgrees(single, without, counts);
+  }
+  EXPECT_EQ(PatternVisitOrder(CsrGraph(single), {}),
+            std::vector<VertexId>{0});
+}
+
+TEST(PatternVisitOrderTest, DisconnectedPattern) {
+  // Two components: an edge 0-1 and an edge 2-3, label 3 the rarest.
+  Graph pattern = Path({0, 1}, {0});
+  pattern.AddVertex(3);
+  pattern.AddVertex(1);
+  pattern.AddEdge(2, 3, 0);
+  const std::map<Label, int64_t> counts = {{0, 50}, {1, 20}, {3, 2}};
+  const std::vector<VertexId> order =
+      PatternVisitOrder(CsrGraph(pattern), counts);
+  // Seeded at the rarest label, its component finished before the next.
+  EXPECT_EQ(order, (std::vector<VertexId>{2, 3, 1, 0}));
+
+  const Graph both = Path({0, 1, 2, 3, 1}, {0, 1, 0, 0});
+  const Graph one = Path({0, 1, 2, 1, 1}, {0, 1, 0, 0});
+  ExpectOrderAgrees(pattern, both, counts);
+  ExpectOrderAgrees(pattern, one, counts);
+  EXPECT_TRUE(IsSubgraphIsomorphic(pattern, both));
+  EXPECT_FALSE(IsSubgraphIsomorphic(pattern, one));
+}
+
+TEST(PatternVisitOrderTest, LabelsAbsentFromTheCountsRankRarest) {
+  // Label 7 is in no count table: it counts 0 and seeds the order.
+  const Graph pattern = Path({0, 0, 7}, {0, 0});
+  const std::map<Label, int64_t> counts = {{0, 5}};
+  EXPECT_EQ(PatternVisitOrder(CsrGraph(pattern), counts),
+            (std::vector<VertexId>{2, 1, 0}));
+  ExpectOrderAgrees(pattern, Path({0, 0, 0, 7}, {0, 0, 0}), counts);
+  ExpectOrderAgrees(pattern, Path({0, 0, 0, 1}, {0, 0, 0}), counts);
+  ExpectOrderAgrees(pattern, Path({0, 0, 7}, {0, 0}), {});
+}
 
 }  // namespace
 }  // namespace graphsig::graph

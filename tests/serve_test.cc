@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -7,6 +8,7 @@
 #include "classify/sig_knn.h"
 #include "core/graphsig.h"
 #include "data/datasets.h"
+#include "graph/csr.h"
 #include "graph/isomorphism.h"
 #include "model/artifact.h"
 #include "serve/pattern_catalog.h"
@@ -92,6 +94,64 @@ TEST(PatternCatalogTest, MatchesEqualBruteForce) {
     // reached the isomorphism test or was pruned.
     EXPECT_EQ(result.iso_calls + result.pruned,
               static_cast<int32_t>(f.artifact.catalog.size()));
+  }
+}
+
+// Per-target matches of every catalog pattern in `query`, ascending.
+std::vector<int32_t> PerTargetMatches(const model::ModelArtifact& artifact,
+                                      const graph::Graph& query) {
+  const graph::CsrGraph target(query);
+  std::vector<int32_t> matches;
+  for (size_t p = 0; p < artifact.catalog.size(); ++p) {
+    if (graph::IsSubgraphIsomorphic(
+            graph::CsrGraph(artifact.catalog[p].subgraph), target)) {
+      matches.push_back(static_cast<int32_t>(p));
+    }
+  }
+  return matches;
+}
+
+TEST(PatternCatalogTest, PatternOrdersMatchPerTargetOrdersOnEveryPair) {
+  const Fixture& f = SharedFixture();
+  // Every (pattern, query) pair: the order built once per pattern from
+  // the indexed database's label counts gives the per-target result.
+  const std::map<graph::Label, int64_t> counts = f.db.VertexLabelCounts();
+  std::vector<graph::CsrGraph> targets;
+  for (size_t i = 0; i < f.db.size(); ++i) targets.emplace_back(f.db.graph(i));
+  int64_t contained = 0;
+  for (const core::SignificantSubgraph& sg : f.artifact.catalog) {
+    const graph::CsrGraph pattern(sg.subgraph);
+    const std::vector<graph::VertexId> order =
+        graph::PatternVisitOrder(pattern, counts);
+    for (size_t i = 0; i < targets.size(); ++i) {
+      const bool per_target = graph::IsSubgraphIsomorphic(pattern, targets[i]);
+      ASSERT_EQ(graph::IsSubgraphIsomorphic(pattern, order, targets[i]),
+                per_target)
+          << "query " << i;
+      contained += per_target;
+    }
+  }
+  EXPECT_GT(contained, 0);
+
+  // The served matches of every query equal the per-target ones, also
+  // when the indexed database lacks most pattern labels (they rank
+  // rarest) and for queries carrying a label no database has.
+  model::ModelArtifact sparse = f.artifact;
+  sparse.database = graph::GraphDatabase();
+  sparse.database.Add(f.db.graph(0));
+  for (const model::ModelArtifact* artifact :
+       {&f.artifact, static_cast<const model::ModelArtifact*>(&sparse)}) {
+    const ShardedCatalog serving =
+        OneShard(PatternCatalog::FromArtifact(*artifact));
+    CatalogQueryConfig config;
+    config.compute_score = false;
+    for (size_t i = 0; i < f.db.size(); ++i) {
+      graph::Graph query = f.db.graph(i);
+      if (i % 2 == 1) query.AddEdge(0, query.AddVertex(999), 0);
+      EXPECT_EQ(serving.Query(query, config).matched_patterns,
+                PerTargetMatches(f.artifact, query))
+          << "query " << i;
+    }
   }
 }
 

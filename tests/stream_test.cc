@@ -380,8 +380,16 @@ TEST(MineStateTest, OtherVersionCheckpointStartsCold) {
 // v2 region-FSM deltas still count a CSR build per region per task;
 // replaying them would overcount graph/csr_builds against a cold mine.
 TEST(MineStateTest, V2CheckpointStartsCold) {
-  ASSERT_EQ(kMineStateVersion, 3u);
+  ASSERT_GE(kMineStateVersion, 3u);
   CheckStaleVersionStartsCold(2);
+}
+
+// v3 featurize deltas count every power iteration to convergence;
+// replaying them would overcount rwr/* against a cold mine, which stops
+// certified walks early.
+TEST(MineStateTest, V3CheckpointStartsCold) {
+  ASSERT_EQ(kMineStateVersion, 4u);
+  CheckStaleVersionStartsCold(3);
 }
 
 TEST(IncrementalMineTest, MatchesColdMineSingleThread) {
