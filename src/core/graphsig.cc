@@ -257,8 +257,7 @@ std::vector<graph::CsrGraph> CutRegions(const GraphSigConfig& config,
 // delta* may admit candidates this mine that it filtered before.
 std::vector<pipeline::RegionTaskOutput> MineRegionSets(
     const GraphSigConfig& config, const pipeline::RegionPlan& plan,
-    const std::vector<graph::CsrGraph>& region_csrs,
-    const std::vector<NodeVector>& node_vectors, bool keep,
+    const std::vector<graph::CsrGraph>& region_csrs, bool keep,
     FeaturePhase* phase, MineCacheStats* acct) {
   auto entry_of = [&](const pipeline::RegionTask& task) -> GroupFsmEntry& {
     const auto [g, c] = phase->origin[task.sv_index];
@@ -282,7 +281,7 @@ std::vector<pipeline::RegionTaskOutput> MineRegionSets(
     const pipeline::RegionTask& task = plan.tasks[t];
     GroupFsmEntry& entry = entry_of(task);
     const std::vector<const graph::CsrGraph*> regions =
-        pipeline::TaskRegions(plan, task, node_vectors, region_csrs);
+        pipeline::TaskRegions(task, region_csrs);
     outputs[t] = RunUnit(keep ? &entry.delta : nullptr, [&] {
       return pipeline::MineRegionTask(
           config, task.label, phase->significant[task.sv_index].second,
@@ -348,8 +347,7 @@ GraphSigResult GraphSig::Mine(const GraphDatabase& db, MineCache* cache,
   const std::vector<graph::CsrGraph> region_csrs =
       CutRegions(config_, db, plan, keep, &units, &acct);
   std::vector<pipeline::RegionTaskOutput> outputs =
-      MineRegionSets(config_, plan, region_csrs, units.node_vectors, keep,
-                     &phase, &acct);
+      MineRegionSets(config_, plan, region_csrs, keep, &phase, &acct);
 
   // Deterministic merge: task order is significant-vector order, and the
   // better-candidate rule is fixed, so ties resolve identically

@@ -97,14 +97,14 @@ RegionPlan PlanRegionTasks(
     } else {
       task.chosen = sv.supporting;
     }
+    task.slots.reserve(task.chosen.size());
     for (int32_t vector_index : task.chosen) {
       const NodeVector& nv = node_vectors[vector_index];
-      if (plan.cut_slot
-              .emplace(RegionCutKey(nv.graph_index, nv.node),
-                       static_cast<int32_t>(plan.cut_owner.size()))
-              .second) {
-        plan.cut_owner.push_back(vector_index);
-      }
+      const auto [it, inserted] =
+          plan.cut_slot.emplace(RegionCutKey(nv.graph_index, nv.node),
+                                static_cast<int32_t>(plan.cut_owner.size()));
+      if (inserted) plan.cut_owner.push_back(vector_index);
+      task.slots.push_back(it->second);
     }
     plan.num_region_requests += static_cast<int64_t>(task.chosen.size());
     plan.tasks.push_back(std::move(task));
@@ -133,16 +133,10 @@ graph::Graph CutRegion(const graph::Graph& host, int32_t graph_index,
 }
 
 std::vector<const graph::CsrGraph*> TaskRegions(
-    const RegionPlan& plan, const RegionTask& task,
-    const std::vector<NodeVector>& node_vectors,
-    const std::vector<graph::CsrGraph>& region_csrs) {
+    const RegionTask& task, const std::vector<graph::CsrGraph>& region_csrs) {
   std::vector<const graph::CsrGraph*> regions;
-  regions.reserve(task.chosen.size());
-  for (int32_t vector_index : task.chosen) {
-    const NodeVector& nv = node_vectors[vector_index];
-    regions.push_back(&region_csrs[plan.cut_slot.at(
-        RegionCutKey(nv.graph_index, nv.node))]);
-  }
+  regions.reserve(task.slots.size());
+  for (int32_t slot : task.slots) regions.push_back(&region_csrs[slot]);
   return regions;
 }
 

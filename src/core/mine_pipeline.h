@@ -58,12 +58,14 @@ GroupMineOutput MineLabelGroup(
     const std::vector<features::NodeVector>& node_vectors,
     const std::vector<int32_t>& members);
 
-// One graph-space mining task: a significant vector and the node-vector
-// indices (after even subsampling) whose regions it selects.
+// One graph-space mining task: a significant vector, the node-vector
+// indices (after even subsampling) whose regions it selects, and the cut
+// slot of each chosen vector's region, in `chosen` order.
 struct RegionTask {
   graph::Label label = -1;
   int32_t sv_index = 0;  // index into the significant-vector list
   std::vector<int32_t> chosen;
+  std::vector<int32_t> slots;
 };
 
 // Pass-1 output: the task list plus the distinct (graph, node) cuts the
@@ -107,9 +109,7 @@ struct RegionTaskOutput {
 // The borrowed region set of one task: the slot CSR of each chosen
 // vector's cut, in `task.chosen` order. `region_csrs` is indexed by slot.
 std::vector<const graph::CsrGraph*> TaskRegions(
-    const RegionPlan& plan, const RegionTask& task,
-    const std::vector<features::NodeVector>& node_vectors,
-    const std::vector<graph::CsrGraph>& region_csrs);
+    const RegionTask& task, const std::vector<graph::CsrGraph>& region_csrs);
 
 // Pass-3 body: maximal FSM over one assembled region set. Builds no CSR.
 RegionTaskOutput MineRegionTask(const GraphSigConfig& config,

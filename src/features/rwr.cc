@@ -511,10 +511,10 @@ std::vector<NodeVector> GraphToVectors(const graph::Graph& g,
     out[v].node = v;
     out[v].node_label = g.vertex_label(v);
   }
-  // One CSR build and one edge -> slot table serve every source of this
-  // graph.
-  const graph::CsrGraph csr(g);
   if (config.featurizer == Featurizer::kRwr) {
+    // One CSR build and one edge -> slot table serve every source of this
+    // graph.
+    const graph::CsrGraph csr(g);
     const FeatureMass mass(g, features);
     std::vector<double> buffer;
     AllSources(

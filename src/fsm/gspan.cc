@@ -59,6 +59,7 @@ struct Candidate {
 // the number of gid runs, because instances arrive in gid order.
 struct Bucket {
   DfsEdge key;
+  int32_t slot = -1;  // direct slot, or -1 for a hashed (root) bucket
   int64_t support = 0;
   int32_t last_gid = -1;
   int32_t count = 0;  // instances
@@ -97,9 +98,13 @@ class BucketIndex {
   int32_t FillSlot(size_t slot, const DfsEdge* key) {
     used_slots_.push_back(static_cast<int32_t>(slot));
     if (key == nullptr) return slots_[slot] = kPrunedSlot;
-    buckets_.push_back({*key});
+    buckets_.push_back({*key, static_cast<int32_t>(slot)});
     return slots_[slot] = static_cast<int32_t>(buckets_.size() - 1);
   }
+
+  // Marks a filled slot pruned: its bucket keeps what it buffered, but
+  // later instances of its key are dropped.
+  void PruneSlot(size_t slot) { slots_[slot] = kPrunedSlot; }
 
   // Bucket id of `key`, created on first sight.
   int32_t FindHashed(const DfsEdge& key) {
@@ -248,6 +253,8 @@ struct MinerScratch {
   BucketIndex index;
   std::vector<Candidate> candidates;
   std::vector<int32_t> frequent;
+  std::vector<int32_t> live;  // buckets that can still be frequent
+  std::vector<uint8_t> live_from;  // per DFS id: a live key attaches there
   std::vector<int> rmpath;
   std::vector<DfsEdge> rm_edges;
   std::vector<std::vector<Child>> children;  // per code length
@@ -608,14 +615,45 @@ class GSpanMiner {
   }
 
   // Bucket of the extension in direct slot `slot`, or a negative id when
-  // its edge is not frequent. `make_key` runs on the slot's first
-  // instance only.
+  // it cannot be frequent: its edge is not frequent, its key is first
+  // seen past the support slack (`open` false), or its key has died.
+  // `make_key` runs on the slot's first instance only.
   template <typename MakeKey>
-  int32_t SlotBucket(size_t slot, MakeKey make_key) {
+  int32_t SlotBucket(size_t slot, bool open, MakeKey make_key) {
     const int32_t id = s_.index.slot(slot);
     if (id != BucketIndex::kEmptySlot) return id;
+    if (!open) return s_.index.FillSlot(slot, nullptr);
     const DfsEdge key = make_key();
     return s_.index.FillSlot(slot, FrequentEdge(key) ? &key : nullptr);
+  }
+
+  // Support bound at the boundary of the projection graph of rank `rank`
+  // (0-based), past the slack: a bucket that missed more than `slack` of
+  // the graphs before it can no longer reach min_support, so its slot is
+  // pruned. Marks, per DFS id, whether a live key attaches there. Returns
+  // false when no bucket is live.
+  bool BoundLiveKeys(int64_t rank, int64_t slack, size_t num_ids) {
+    std::vector<Bucket>& buckets = s_.index.buckets();
+    std::vector<int32_t>& live = s_.live;
+    if (rank == slack + 1) {  // first boundary past the slack
+      live.resize(buckets.size());
+      for (size_t id = 0; id < live.size(); ++id) {
+        live[id] = static_cast<int32_t>(id);
+      }
+    }
+    std::fill_n(s_.live_from.begin(), num_ids, 0);
+    size_t kept = 0;
+    for (int32_t id : live) {
+      const Bucket& bucket = buckets[id];
+      if (rank - bucket.support > slack) {
+        s_.index.PruneSlot(static_cast<size_t>(bucket.slot));
+        continue;
+      }
+      s_.live_from[bucket.key.from] = 1;
+      live[kept++] = id;
+    }
+    live.resize(kept);
+    return kept > 0;
   }
 
   // Scans every rightmost extension of every embedding in `projected`
@@ -628,7 +666,15 @@ class GSpanMiner {
   // with r = |rmpath|, E/V the numbers of ranked edge/vertex labels, p = 0
   // the rightmost vertex and p = j + 1 the source of rmpath[j]. An
   // instance with an unranked label, or in a pruned slot, is dropped.
-  void Scan(const DfsCode& code, Projected projected) {
+  //
+  // `projected` spans `support` graphs, so a key can miss at most
+  // slack = support - min_support of them and still be frequent. Past
+  // the slack (graph rank > slack) no new key can reach min_support, a
+  // key that missed more than slack graphs is dead, attachment points
+  // with no live key are skipped, and the scan stops once no key is
+  // live. Frequent keys are never pruned, so their instances and order
+  // are unchanged (DESIGN.md §14).
+  void Scan(const DfsCode& code, Projected projected, int64_t support) {
     code.BuildRmPath(&s_.rmpath);
     const size_t r = s_.rmpath.size();
     std::vector<DfsEdge>& rm_edges = s_.rm_edges;  // rmpath edges, in order
@@ -656,18 +702,36 @@ class GSpanMiner {
                                     (position * ne + e) * nv + v);
     };
     const VertexId* const dfs_to_g = s_.dfs_to_g.data();
+    const size_t num_ids = static_cast<size_t>(maxtoc) + 1;
+    if (s_.live_from.size() < num_ids) s_.live_from.resize(num_ids);
+    const uint8_t* const live_from = s_.live_from.data();
+    const int64_t slack = support - config_.min_support;
+    int64_t rank = -1;  // of emb.gid among the projection's graphs
+    int32_t gid = -1;
+    bool open = true;  // rank <= slack: every attachment point is live
 
     loaded_ = nullptr;  // the previous scan's chains may be rewound
     for (const Emb& emb : projected) {
+      if (emb.gid != gid) {
+        gid = emb.gid;
+        if (++rank > slack) {
+          open = false;
+          if (!BoundLiveKeys(rank, slack, num_ids)) break;
+        }
+      }
       const CsrGraph& g = *db_[emb.gid];
       LoadHistory(code, &emb);
       const VertexId rm_g = dfs_to_g[maxtoc];
+      // Backward and forward keys both attach at the rightmost vertex.
+      const std::span<const AdjEntry> rm_neighbors =
+          open || live_from[maxtoc] != 0 ? g.neighbors(rm_g)
+                                         : std::span<const AdjEntry>();
 
       // Off the rightmost vertex in one pass: a used neighbor over an
       // unused edge may close a backward edge onto the rightmost path, an
       // unused one grows a pure forward edge. Instances of one key still
       // arrive in (embedding, adjacency) order.
-      for (const AdjEntry& adj : g.neighbors(rm_g)) {
+      for (const AdjEntry& adj : rm_neighbors) {
         if (VertexUsed(adj.to)) {
           if (EdgeUsed(adj.edge_index)) continue;
           for (size_t j = r - 1; j >= 1; --j) {
@@ -677,7 +741,7 @@ class GSpanMiner {
             if (e >= 0 && (e1.edge_label < adj.label ||
                            (e1.edge_label == adj.label &&
                             e1.to_label <= rm_vertex_label))) {
-              const int32_t id = SlotBucket(j * ne + e, [&] {
+              const int32_t id = SlotBucket(j * ne + e, open, [&] {
                 return DfsEdge{maxtoc, e1.from, rm_vertex_label, adj.label,
                                e1.from_label};
               });
@@ -691,7 +755,7 @@ class GSpanMiner {
         if (tolabel < min_label) continue;
         const ptrdiff_t slot = forward_slot(0, adj.label, tolabel);
         if (slot < 0) continue;
-        const int32_t id = SlotBucket(slot, [&] {
+        const int32_t id = SlotBucket(slot, open, [&] {
           return DfsEdge{maxtoc, maxtoc + 1, rm_vertex_label, adj.label,
                          tolabel};
         });
@@ -701,6 +765,7 @@ class GSpanMiner {
       // Forward branching off the rightmost path.
       for (size_t j = 0; j < r; ++j) {
         const DfsEdge& e1 = rm_edges[j];
+        if (!open && live_from[e1.from] == 0) continue;
         const VertexId from_g = dfs_to_g[e1.from];
         for (const AdjEntry& adj : g.neighbors(from_g)) {
           if (VertexUsed(adj.to)) continue;
@@ -710,7 +775,7 @@ class GSpanMiner {
               (e1.edge_label == adj.label && e1.to_label <= tolabel)) {
             const ptrdiff_t slot = forward_slot(j + 1, adj.label, tolabel);
             if (slot < 0) continue;
-            const int32_t id = SlotBucket(slot, [&] {
+            const int32_t id = SlotBucket(slot, open, [&] {
               return DfsEdge{e1.from, maxtoc + 1, e1.from_label, adj.label,
                              tolabel};
             });
@@ -752,7 +817,7 @@ class GSpanMiner {
     // rewinding once all child branches have been explored (chains only
     // point parent-ward, so a rewind never strands a live chain).
     const util::Arena::Mark frame_mark = s_.arena.Position();
-    Scan(code, projected);
+    Scan(code, projected, support);
     TakeFrequentChildren(DfsEdgeLess, depth);
     if (reported && maximal_only_) {
       // A frequent child contains this pattern, so it is not maximal.

@@ -14,12 +14,6 @@ namespace graphsig::fsm {
 // dominated by the larger one's.
 std::vector<Pattern> FilterMaximal(std::vector<Pattern> patterns);
 
-// Keeps only the closed patterns: those with no super-pattern in the set
-// of EQUAL support (CloseGraph's notion, the graph-space analogue of
-// FVMine's closed vectors). Lossless: every frequent pattern's support
-// is recoverable from the closed set.
-std::vector<Pattern> FilterClosed(std::vector<Pattern> patterns);
-
 // GraphSig's last stage (Algorithm 2, line 13): gSpan mining followed by
 // the maximality filter, with the same result set as
 // FilterMaximal(MineFrequentGSpan(db, config).patterns). The search
@@ -33,10 +27,6 @@ std::vector<Pattern> FilterClosed(std::vector<Pattern> patterns);
 MineResult MineMaximalGSpan(CsrDatabase db, const MinerConfig& config);
 MineResult MineMaximalGSpan(const graph::GraphDatabase& db,
                             const MinerConfig& config);
-
-// Complete gSpan mining followed by the closedness filter.
-MineResult MineClosedGSpan(const graph::GraphDatabase& db,
-                           const MinerConfig& config);
 
 }  // namespace graphsig::fsm
 

@@ -372,6 +372,26 @@ TEST(RwrTest, CountFeaturizerIgnoresProximity) {
   EXPECT_EQ(from0, from3);  // whole-graph counts are source-independent
 }
 
+// Only the RWR featurizer walks a CSR, so only it builds one per graph.
+TEST(RwrTest, OnlyRwrFeaturizerBuildsACsr) {
+  Graph g;
+  for (int i = 0; i < 4; ++i) g.AddVertex(i % 2);
+  for (int i = 0; i < 3; ++i) g.AddEdge(i, i + 1, 0);
+  GraphDatabase db;
+  db.Add(g);
+  const FeatureSpace fs = FeatureSpace::VertexLabelsOnly(db);
+  obs::Counter* const builds =
+      obs::MetricsRegistry::Global().GetCounter("graph/csr_builds");
+  for (Featurizer featurizer : {Featurizer::kRwr, Featurizer::kWindowCount}) {
+    RwrConfig config;
+    config.featurizer = featurizer;
+    const uint64_t before = builds->value();
+    EXPECT_EQ(GraphToVectors(g, 0, fs, config).size(), 4u);
+    EXPECT_EQ(builds->value() - before,
+              featurizer == Featurizer::kRwr ? 1u : 0u);
+  }
+}
+
 // ---------------------------------------------------------------------
 // Block RWR: every column of the block kernel must reproduce the
 // one-source power iteration bit for bit, counters included.

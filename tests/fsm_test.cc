@@ -249,9 +249,11 @@ TEST_P(MinerAgreementTest, AllThreeMinersAgree) {
   EXPECT_EQ(apriori, truth);
 }
 
+// Supports 7 and 8 of the 8 graphs leave a slack of 1 and 0, where the
+// scan's support bound prunes hardest.
 INSTANTIATE_TEST_SUITE_P(Sweep, MinerAgreementTest,
                          ::testing::Combine(::testing::Range(0, 10),
-                                            ::testing::Values(2, 3, 5)));
+                                            ::testing::Values(2, 3, 5, 7, 8)));
 
 // Every mined pattern must actually occur in every supporting graph.
 TEST(GSpanTest, PatternsEmbedInSupportingGraphs) {
@@ -268,28 +270,23 @@ TEST(GSpanTest, PatternsEmbedInSupportingGraphs) {
 }
 
 // Maximal oracle: the brute-force frequent set minus every pattern
-// contained in a strictly larger frequent pattern, compared with
-// MineMaximalGSpan by canonical code and support.
-class MaximalOracleTest
-    : public ::testing::TestWithParam<std::tuple<int, int>> {};
-
-TEST_P(MaximalOracleTest, MatchesBruteForceMaximalSet) {
-  const int seed = std::get<0>(GetParam());
-  const int64_t min_support = std::get<1>(GetParam());
-  GraphDatabase db = RandomDatabase(6000 + seed, 8, 6, 2, 2, 2);
-  const int kMaxEdges = 4;
+// contained in a strictly larger frequent pattern, by canonical code and
+// support.
+std::map<std::string, int64_t> BruteForceMaximal(const GraphDatabase& db,
+                                                 int64_t min_support,
+                                                 int max_edges) {
   std::map<std::string, int64_t> frequent =
-      BruteForceFrequent(db, min_support, kMaxEdges);
+      BruteForceFrequent(db, min_support, max_edges);
   // Recover one graph per frequent class from gSpan's complete output
   // (its agreement with brute force is MinerAgreementTest's job).
   MinerConfig config;
   config.min_support = min_support;
-  config.max_edges = kMaxEdges;
+  config.max_edges = max_edges;
   std::map<std::string, Graph> graphs;
   for (const Pattern& p : MineFrequentGSpan(db, config).patterns) {
     graphs.emplace(CanonicalCode(p.graph), p.graph);
   }
-  ASSERT_EQ(graphs.size(), frequent.size());
+  EXPECT_EQ(graphs.size(), frequent.size());
 
   std::map<std::string, int64_t> expected;
   for (const auto& [key, support] : frequent) {
@@ -304,12 +301,87 @@ TEST_P(MaximalOracleTest, MatchesBruteForceMaximalSet) {
     }
     if (!contained) expected.emplace(key, support);
   }
-  EXPECT_EQ(ToCanonicalMap(MineMaximalGSpan(db, config)), expected);
+  return expected;
 }
 
+// MineMaximalGSpan against the maximal oracle.
+class MaximalOracleTest
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(MaximalOracleTest, MatchesBruteForceMaximalSet) {
+  const int seed = std::get<0>(GetParam());
+  const int64_t min_support = std::get<1>(GetParam());
+  GraphDatabase db = RandomDatabase(6000 + seed, 8, 6, 2, 2, 2);
+  const int kMaxEdges = 4;
+  MinerConfig config;
+  config.min_support = min_support;
+  config.max_edges = kMaxEdges;
+  EXPECT_EQ(ToCanonicalMap(MineMaximalGSpan(db, config)),
+            BruteForceMaximal(db, min_support, kMaxEdges));
+}
+
+// Supports 7 and 8 of the 8 graphs leave a slack of 1 and 0.
 INSTANTIATE_TEST_SUITE_P(Sweep, MaximalOracleTest,
                          ::testing::Combine(::testing::Range(0, 10),
-                                            ::testing::Values(2, 3, 5)));
+                                            ::testing::Values(2, 3, 5, 7, 8)));
+
+// Hand-built edge cases of the scan's support bound. Five graphs at
+// min_support 3: the root A-B lies in all five, so its frame has slack 2
+// (graph ranks 0-4).
+//   - B-C is first seen at rank 2 = slack and is frequent (ranks 2-4).
+//   - A-D misses exactly slack graphs (ranks 1 and 3) and is frequent.
+//   - B-E (ranks 0 and 4) dies at the rank-4 boundary and reappears in
+//     that graph; its instances there are dropped, and it stays
+//     infrequent.
+// The root X-Y lies in graphs 0-2 (slack 0). Its only extensions, Y-Z1
+// (rank 0) and Y-Z2 (first seen at rank 1), are both dead by the rank-2
+// boundary, so that scan stops before rank 2 and X-Y has no frequent
+// child: it must be emitted as maximal. Every edge triple above is a
+// frequent root (loose components complete their supports), so no key
+// is dropped by the infrequent-edge test alone.
+TEST(GSpanTest, SupportBoundKeepsBoundaryKeys) {
+  enum : Label { A = 0, B, C, D, E, X = 7, Y, Z1, Z2 };
+  // One graph: an A-B edge with leaves on A and on B, then loose paths.
+  auto make = [](std::vector<Label> a_leaves, std::vector<Label> b_leaves,
+                 std::vector<std::vector<Label>> paths) {
+    Graph g;
+    const VertexId a = g.AddVertex(A);
+    const VertexId b = g.AddVertex(B);
+    g.AddEdge(a, b, 0);
+    for (Label l : a_leaves) g.AddEdge(a, g.AddVertex(l), 0);
+    for (Label l : b_leaves) g.AddEdge(b, g.AddVertex(l), 0);
+    for (const std::vector<Label>& path : paths) {
+      VertexId prev = g.AddVertex(path[0]);
+      for (size_t k = 1; k < path.size(); ++k) {
+        const VertexId next = g.AddVertex(path[k]);
+        g.AddEdge(prev, next, 0);
+        prev = next;
+      }
+    }
+    return g;
+  };
+  GraphDatabase db;
+  db.Add(make({D}, {E}, {{X, Y, Z1}}));              // rank 0
+  db.Add(make({}, {}, {{X, Y, Z2}}));                // rank 1
+  db.Add(make({D}, {C}, {{X, Y}, {B, E}}));          // rank 2
+  db.Add(make({}, {C}, {{Y, Z1}, {Y, Z2}}));         // rank 3
+  db.Add(make({D}, {C, E}, {{Y, Z1}, {Y, Z2}}));     // rank 4
+
+  MinerConfig config;
+  config.min_support = 3;
+  config.max_edges = 4;
+  const std::map<std::string, int64_t> frequent =
+      ToCanonicalMap(MineFrequentGSpan(db, config));
+  EXPECT_EQ(frequent, BruteForceFrequent(db, config.min_support, 4));
+  EXPECT_EQ(frequent.at(CanonicalCode(Path({A, B, C}, {0, 0}))), 3);
+  EXPECT_EQ(frequent.at(CanonicalCode(Path({D, A, B}, {0, 0}))), 3);
+  EXPECT_EQ(frequent.count(CanonicalCode(Path({A, B, E}, {0, 0}))), 0u);
+
+  const std::map<std::string, int64_t> maximal =
+      ToCanonicalMap(MineMaximalGSpan(db, config));
+  EXPECT_EQ(maximal, BruteForceMaximal(db, config.min_support, 4));
+  EXPECT_EQ(maximal.at(CanonicalCode(Path({X, Y}, {0}))), 3);
+}
 
 // FNV-1a over the full output sequence: pattern graphs, supports and
 // supporting lists, in emission order.

@@ -178,8 +178,8 @@ TEST(RegionCsrTest, BorrowedCsrsMatchGraphDatabasePath) {
         regions.Add(screen.cuts[screen.plan.cut_slot.at(
             pipeline::RegionCutKey(nv.graph_index, nv.node))]);
       }
-      const std::vector<const CsrGraph*> borrowed = pipeline::TaskRegions(
-          screen.plan, task, screen.node_vectors, region_csrs);
+      const std::vector<const CsrGraph*> borrowed =
+          pipeline::TaskRegions(task, region_csrs);
       ASSERT_EQ(borrowed.size(), regions.size());
       for (size_t k = 0; k < regions.size(); ++k) {
         ExpectSameCsr(CsrGraph(regions.graph(k)), *borrowed[k]);
@@ -239,8 +239,8 @@ TEST(GSpanRegionTest, CodesAreCanonicalOnUacc257Tasks) {
                                           screen.cuts.end());
   size_t patterns_checked = 0;
   for (const pipeline::RegionTask& task : screen.plan.tasks) {
-    const std::vector<const CsrGraph*> regions = pipeline::TaskRegions(
-        screen.plan, task, screen.node_vectors, region_csrs);
+    const std::vector<const CsrGraph*> regions =
+        pipeline::TaskRegions(task, region_csrs);
     fsm::MinerConfig miner_config;
     miner_config.min_support = std::max<int64_t>(
         2, fsm::SupportFromPercent(config.fsg_freq_percent, regions.size()));
