@@ -12,7 +12,6 @@
 #include "stream/tarone.h"
 #include "util/check.h"
 #include "util/parallel.h"
-#include "util/timer.h"
 
 namespace graphsig::core {
 namespace {
@@ -37,9 +36,10 @@ auto RunUnit(obs::WorkDelta* delta, Unit&& unit) {
 // Featurization (Algorithm 2 lines 3-4) appended to
 // `units->node_vectors`: graphs the cache already featurized replay
 // their captured deltas, the rest run RWR. The features/vectorize span
-// records one call and one work unit per node vector either way.
-void Featurize(const GraphSigConfig& config, const GraphDatabase& db,
-               bool keep, MineCache* units, MineCacheStats* acct) {
+// records one call and one work unit per node vector either way; its
+// wall time is returned.
+double Featurize(const GraphSigConfig& config, const GraphDatabase& db,
+                 bool keep, MineCache* units, MineCacheStats* acct) {
   GS_TRACE_SPAN_NAMED(span, "features/vectorize");
   for (const obs::WorkDelta& delta : units->featurize_deltas) {
     obs::ReplayWorkDelta(delta);
@@ -72,6 +72,7 @@ void Featurize(const GraphSigConfig& config, const GraphDatabase& db,
   acct->graphs_reused = static_cast<int64_t>(done);
   acct->graphs_featurized = static_cast<int64_t>(todo);
   span.AddWork(units->node_vectors.size());
+  return span.ElapsedSeconds();
 }
 
 // FVMine per anchor-label group (lines 6-7), in ascending label order.
@@ -134,7 +135,6 @@ FeaturePhase RunFeaturePhase(const GraphSigConfig& config,
                              MineCache* units, MineCacheStats* acct,
                              GraphSigResult* result) {
   FeaturePhase phase;
-  util::WallTimer timer;
   result->feature_space =
       space != nullptr
           ? *space
@@ -150,13 +150,11 @@ FeaturePhase RunFeaturePhase(const GraphSigConfig& config,
     units->groups.clear();
     units->feature_space = result->feature_space;
   }
-  Featurize(config, db, keep, units, acct);
-  result->profile.rwr_seconds = timer.ElapsedSeconds();
+  result->profile.rwr_seconds = Featurize(config, db, keep, units, acct);
   result->stats.num_vectors =
       static_cast<int64_t>(units->node_vectors.size());
   if (units->node_vectors.empty()) return phase;
 
-  timer.Restart();
   GS_TRACE_SPAN_NAMED(feature_span, "mine/feature");
   phase.groups = MineGroups(config, keep, units, acct);
   result->stats.num_groups = static_cast<int64_t>(phase.groups.size());
@@ -205,7 +203,7 @@ FeaturePhase RunFeaturePhase(const GraphSigConfig& config,
   result->stats.num_significant_vectors =
       static_cast<int64_t>(phase.significant.size());
   feature_span.AddWork(phase.significant.size());
-  result->profile.feature_seconds = timer.ElapsedSeconds();
+  result->profile.feature_seconds = feature_span.ElapsedSeconds();
   return phase;
 }
 
@@ -318,8 +316,7 @@ GraphSig::MineSignificantVectors(const GraphDatabase& db,
 
 GraphSigResult GraphSig::Mine(const GraphDatabase& db, MineCache* cache,
                               MineCacheStats* cache_stats) const {
-  GS_TRACE_SPAN("mine");
-  util::WallTimer total_timer;
+  GS_TRACE_SPAN_NAMED(mine_span, "mine");
   GraphSigResult result;
   // A cold mine runs on an empty scratch cache and keeps nothing.
   const bool keep = cache != nullptr;
@@ -333,7 +330,6 @@ GraphSigResult GraphSig::Mine(const GraphDatabase& db, MineCache* cache,
   FeaturePhase phase = RunFeaturePhase(config_, db, nullptr, keep, &units,
                                        &acct, &result);
 
-  util::WallTimer fsm_timer;
   GS_TRACE_SPAN_NAMED(fsm_span, "mine/fsm");
   // Graph-space phase (Algorithm 2, lines 8-13): each significant vector
   // selects the regions it describes; cut them out and mine maximally at
@@ -365,8 +361,8 @@ GraphSigResult GraphSig::Mine(const GraphDatabase& db, MineCache* cache,
   units.groups = std::move(phase.groups);
 
   fsm_span.AddWork(static_cast<uint64_t>(result.stats.num_sets_mined));
-  result.profile.fsm_seconds = fsm_timer.ElapsedSeconds();
-  result.profile.total_seconds = total_timer.ElapsedSeconds();
+  result.profile.fsm_seconds = fsm_span.ElapsedSeconds();
+  result.profile.total_seconds = mine_span.ElapsedSeconds();
   return result;
 }
 

@@ -1,8 +1,8 @@
 #ifndef GRAPHSIG_CORE_GRAPHSIG_H_
 #define GRAPHSIG_CORE_GRAPHSIG_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "features/feature_space.h"
@@ -11,6 +11,22 @@
 #include "graph/graph_database.h"
 
 namespace graphsig::core {
+
+// Absolute floor under FVMine's group-relative frequency threshold (tiny
+// groups would otherwise mine "patterns" supported by a single region).
+inline constexpr int64_t kMinSupportFloor = 3;
+
+// A region set needs at least this many regions to be mined (a high
+// relative threshold over one graph would degenerate to support 1 and
+// enumerate everything).
+inline constexpr size_t kMinSetSize = 3;
+
+// Large region sets are evenly subsampled to this many regions before
+// maximal FSM; the 80% relative threshold is computed on the sample. A
+// pattern present in >= 80% of the set is present in ~80% of any even
+// sample, so this bounds per-set mining cost without changing which
+// cores surface.
+inline constexpr size_t kMaxRegionsPerSet = 128;
 
 // Configuration of the end-to-end GraphSig pipeline (Algorithm 2).
 // Defaults follow the paper's Table IV.
@@ -27,10 +43,7 @@ struct GraphSigConfig {
   // patterns around rare atoms (Sb/Bi, Fig. 15) whose global frequency
   // is far below any workable database-wide threshold.
   double max_pvalue = 0.1;
-  double min_freq_percent = 0.1;
-  // Absolute floor under the relative threshold (tiny groups would
-  // otherwise mine "patterns" supported by a single region).
-  int64_t min_support_floor = 3;
+  double min_freq_percent = 0.1;  // floored at kMinSupportFloor
 
   // Region extraction: CutGraph radius (Table IV: 8) and the relative
   // frequency threshold for maximal FSM on each region set (Table IV:
@@ -38,23 +51,11 @@ struct GraphSigConfig {
   int cutoff_radius = 8;
   double fsg_freq_percent = 80.0;
 
-  // Engineering guards. A region set needs at least `min_set_size`
-  // regions to be mined (a high relative threshold over one graph would
-  // degenerate to support 1 and enumerate everything); `fsm_max_edges`
-  // bounds pattern size inside region mining.
-  size_t min_set_size = 3;
+  // Engineering guards on region mining: pattern size and count.
   int32_t fsm_max_edges = 25;
   size_t fsm_max_patterns = 100000;
-  // Large region sets are evenly subsampled to this many regions before
-  // maximal FSM; the 80% relative threshold is computed on the sample.
-  // A pattern present in >= 80% of the set is present in ~80% of any
-  // even sample, so this bounds per-set mining cost without changing
-  // which cores surface.
-  size_t max_regions_per_set = 128;
 
-  // Caps forwarded to FVMine.
-  size_t fvmine_max_results = std::numeric_limits<size_t>::max();
-  double fvmine_budget_seconds = std::numeric_limits<double>::infinity();
+  // FVMine's optimistic-ceiling prune (an ablation switch).
   bool use_ceiling_prune = true;
 
   // Family-wise error control (stream/tarone.h): > 0 runs FVMine in
@@ -91,12 +92,15 @@ struct SignificantSubgraph {
   int64_t db_frequency = -1;  // graphs of the full DB containing it
 };
 
-// Wall-time share of each pipeline stage (the Fig. 10 profile).
+// Wall-time share of each pipeline stage (the Fig. 10 profile), each
+// read from the trace span that brackets the stage. Feature-space
+// selection runs before features/vectorize, so it counts only in the
+// total.
 struct GraphSigProfile {
-  double rwr_seconds = 0.0;       // featurization (RWR + discretize)
-  double feature_seconds = 0.0;   // priors + FVMine + region location
-  double fsm_seconds = 0.0;       // cutting + maximal frequent mining
-  double total_seconds = 0.0;
+  double rwr_seconds = 0.0;      // features/vectorize: RWR + discretize
+  double feature_seconds = 0.0;  // mine/feature: priors + FVMine
+  double fsm_seconds = 0.0;      // mine/fsm: cutting + maximal FSM
+  double total_seconds = 0.0;    // mine
 };
 
 struct GraphSigStats {

@@ -40,7 +40,7 @@ GroupMineOutput MineLabelGroup(const GraphSigConfig& config,
   GroupMineOutput out;
   // Group-relative frequency threshold (see GraphSigConfig).
   const int64_t min_support = std::max<int64_t>(
-      config.min_support_floor,
+      kMinSupportFloor,
       static_cast<int64_t>(
           std::ceil(config.min_freq_percent / 100.0 * members.size())));
   if (static_cast<int64_t>(members.size()) < min_support) return out;
@@ -54,8 +54,6 @@ GroupMineOutput MineLabelGroup(const GraphSigConfig& config,
   fvmine::FvMineConfig fv_config;
   fv_config.min_support = min_support;
   fv_config.max_pvalue = config.max_pvalue;
-  fv_config.max_results = config.fvmine_max_results;
-  fv_config.budget_seconds = config.fvmine_budget_seconds;
   fv_config.use_ceiling_prune = config.use_ceiling_prune;
   fv_config.tarone_alpha = config.tarone_alpha;
   fvmine::FvMineResult mined = fvmine::FvMine(population, priors, fv_config);
@@ -74,23 +72,23 @@ int64_t RegionCutKey(int32_t graph_index, graph::VertexId node) {
 }
 
 RegionPlan PlanRegionTasks(
-    const GraphSigConfig& config,
+    const GraphSigConfig& /*config*/,
     const std::vector<std::pair<Label, fvmine::SignificantVector>>&
         significant,
     const std::vector<NodeVector>& node_vectors) {
   RegionPlan plan;
   for (size_t v = 0; v < significant.size(); ++v) {
     const auto& [label, sv] = significant[v];
-    if (sv.supporting.size() < config.min_set_size) continue;
+    if (sv.supporting.size() < kMinSetSize) continue;
     RegionTask task;
     task.label = label;
     task.sv_index = static_cast<int32_t>(v);
-    // Evenly subsample oversized sets (see max_regions_per_set).
-    if (sv.supporting.size() > config.max_regions_per_set) {
-      task.chosen.reserve(config.max_regions_per_set);
+    // Evenly subsample oversized sets (see kMaxRegionsPerSet).
+    if (sv.supporting.size() > kMaxRegionsPerSet) {
+      task.chosen.reserve(kMaxRegionsPerSet);
       const double stride = static_cast<double>(sv.supporting.size()) /
-                            static_cast<double>(config.max_regions_per_set);
-      for (size_t k = 0; k < config.max_regions_per_set; ++k) {
+                            static_cast<double>(kMaxRegionsPerSet);
+      for (size_t k = 0; k < kMaxRegionsPerSet; ++k) {
         task.chosen.push_back(
             sv.supporting[static_cast<size_t>(k * stride)]);
       }

@@ -88,8 +88,10 @@ struct RegionPlan {
 // so this identifies a cut.
 int64_t RegionCutKey(int32_t graph_index, graph::VertexId node);
 
-// Serial pass 1: selects each vector's region sample and dedups the
-// cuts. Bumps the mine/region_cache_hits|misses work counters.
+// Serial pass 1: selects each vector's region sample (kMinSetSize,
+// kMaxRegionsPerSet) and dedups the cuts. Bumps the
+// mine/region_cache_hits|misses work counters. No setting in `config`
+// shapes the plan today; the parameter keeps the call sites stable.
 RegionPlan PlanRegionTasks(
     const GraphSigConfig& config,
     const std::vector<std::pair<graph::Label, fvmine::SignificantVector>>&

@@ -302,6 +302,8 @@ class GSpanMiner {
   // Patterns found, held back or not: what max_patterns caps and
   // gspan/patterns counts.
   uint64_t patterns_found() const { return found_; }
+  // Embeddings Scan visited before the support bound stopped it.
+  uint64_t scan_embeddings() const { return scanned_; }
 
   MineResult Run() {
     util::WallTimer timer;
@@ -719,6 +721,7 @@ class GSpanMiner {
           if (!BoundLiveKeys(rank, slack, num_ids)) break;
         }
       }
+      ++scanned_;
       const CsrGraph& g = *db_[emb.gid];
       LoadHistory(code, &emb);
       const VertexId rm_g = dfs_to_g[maxtoc];
@@ -844,6 +847,7 @@ class GSpanMiner {
   MinerScratch& s_;
   MineResult result_;
   uint64_t found_ = 0;
+  uint64_t scanned_ = 0;
   const Emb* loaded_ = nullptr;  // the embedding History describes
   util::WallTimer budget_timer_;
   bool stopped_ = false;
@@ -865,8 +869,11 @@ MineResult RunGSpan(CsrDatabase db, const MinerConfig& config,
       registry.GetCounter("gspan/patterns");
   static obs::Counter* const arena_bytes =
       registry.GetCounter("gspan/embeddings_arena_bytes");
+  static obs::Counter* const scan_embeddings =
+      registry.GetCounter("gspan/scan_embeddings");
   candidates->Add(result.states_expanded);
   patterns->Add(miner.patterns_found());
+  scan_embeddings->Add(miner.scan_embeddings());
   arena_bytes->Add(result.embedding_arena_bytes);
   span.AddWork(result.states_expanded);
   return result;

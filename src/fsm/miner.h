@@ -34,12 +34,6 @@ struct MinerConfig {
   double budget_seconds = std::numeric_limits<double>::infinity();
   // Also report frequent single-vertex patterns (min_edges permitting).
   bool include_single_vertices = false;
-  // Apriori miner only: candidate generation enumerates extensions from at
-  // most this many supporting graphs per pattern. Candidates are purely
-  // structural and a frequent extension occurs in >= min_support of the
-  // parent's supporting graphs, so a few dozen generators see it with
-  // near-certainty; support counting afterwards is always exact.
-  size_t apriori_generation_sample = 32;
 };
 
 struct MineResult {

@@ -7,7 +7,6 @@
 #include "obs/trace.h"
 #include "util/arena.h"
 #include "util/check.h"
-#include "util/timer.h"
 
 namespace graphsig::fvmine {
 namespace {
@@ -98,11 +97,6 @@ class Searcher {
   void Search(const uint64_t* x, std::span<const int32_t> s, size_t b) {
     if (stopped_) return;
     ++result_.states_explored;
-    if ((result_.states_explored & 0xff) == 0 &&
-        timer_.ElapsedSeconds() > config_.budget_seconds) {
-      stopped_ = true;
-      return;
-    }
 
     if (tarone_) {
       // Every evaluated state joins the testability family.
@@ -204,7 +198,6 @@ class Searcher {
   size_t width_;
   size_t words_;
   FvMineResult result_;
-  util::WallTimer timer_;
   util::Arena arena_;
   std::vector<uint64_t> ceiling_buffer_;
   bool tarone_ = false;

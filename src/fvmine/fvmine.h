@@ -15,7 +15,6 @@ struct FvMineConfig {
   int64_t min_support = 1;  // minSup of Algorithm 1
   double max_pvalue = 0.1;  // maxPvalue of Algorithm 1
   size_t max_results = std::numeric_limits<size_t>::max();
-  double budget_seconds = std::numeric_limits<double>::infinity();
   // Line 10's optimistic prune (p-value of the ceiling at the current
   // support). Disabling it is an ablation: same output, more states.
   bool use_ceiling_prune = true;
@@ -47,7 +46,7 @@ struct SignificantVector {
 struct FvMineResult {
   std::vector<SignificantVector> vectors;
   uint64_t states_explored = 0;
-  bool completed = true;
+  bool completed = true;  // false if max_results stopped the search
   // Tarone mode only (tarone_alpha > 0): psi of every evaluated state,
   // in DFS order — the group's contribution to the testability family.
   std::vector<double> candidate_psis;

@@ -58,6 +58,14 @@ class TraceSpan {
   // Attributes deterministic work units to this span.
   void AddWork(uint64_t n) { work_ += n; }
 
+  // Wall time since the span opened; never more than the wall_ns the
+  // destructor will record.
+  double ElapsedSeconds() const {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start_)
+        .count();
+  }
+
  private:
   SpanStats* const stats_;
   uint64_t work_ = 0;

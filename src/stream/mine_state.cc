@@ -298,20 +298,22 @@ Status DecodeGroup(ByteReader* r, core::GroupCacheEntry* out) {
 
 std::string ConfigFingerprint(const core::GraphSigConfig& config) {
   // num_threads is deliberately absent: output is thread-invariant, so
-  // a checkpoint mined at one thread count restores at any other.
+  // a checkpoint mined at one thread count restores at any other. The
+  // floor/minset/maxr constants and the fixed cap/budget slots (FVMine's
+  // former, never-set caps) print as the retired config fields did, so
+  // checkpoints written before they became constants still restore warm.
   return util::StrPrintf(
       "v1|rwr=%.17g,%.17g,%d,%d,%d,%d|topk=%d|pv=%.17g|freq=%.17g|"
       "floor=%lld|radius=%d|fsg=%.17g|minset=%zu|maxe=%d|maxp=%zu|"
-      "maxr=%zu|cap=%zu|budget=%.17g|ceil=%d|tarone=%.17g|dbfreq=%d",
+      "maxr=%zu|cap=18446744073709551615|budget=inf|ceil=%d|tarone=%.17g|"
+      "dbfreq=%d",
       config.rwr.restart_prob, config.rwr.epsilon,
       config.rwr.max_iterations, config.rwr.bins, config.rwr.radius,
       static_cast<int>(config.rwr.featurizer), config.top_k_atoms,
       config.max_pvalue, config.min_freq_percent,
-      static_cast<long long>(config.min_support_floor),
-      config.cutoff_radius, config.fsg_freq_percent, config.min_set_size,
-      config.fsm_max_edges, config.fsm_max_patterns,
-      config.max_regions_per_set, config.fvmine_max_results,
-      config.fvmine_budget_seconds,
+      static_cast<long long>(core::kMinSupportFloor), config.cutoff_radius,
+      config.fsg_freq_percent, core::kMinSetSize, config.fsm_max_edges,
+      config.fsm_max_patterns, core::kMaxRegionsPerSet,
       config.use_ceiling_prune ? 1 : 0, config.tarone_alpha,
       config.compute_db_frequency ? 1 : 0);
 }

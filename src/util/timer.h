@@ -5,8 +5,9 @@
 
 namespace graphsig::util {
 
-// Monotonic wall-clock timer used by benches and by GraphSig's stage
-// profiler (Fig. 10 reproduction).
+// Monotonic wall-clock timer for tool and bench timings, server
+// deadlines and miner time budgets. GraphSig's stage profile (Fig. 10)
+// reads its trace spans instead (obs/trace.h).
 class WallTimer {
  public:
   WallTimer() : start_(Clock::now()) {}
@@ -22,20 +23,6 @@ class WallTimer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-// Accumulates time across repeated start/stop intervals; one per pipeline
-// stage in the GraphSig profiler.
-class StageTimer {
- public:
-  void Start() { running_ = WallTimer(); }
-  void Stop() { total_seconds_ += running_.ElapsedSeconds(); }
-  double total_seconds() const { return total_seconds_; }
-  void Reset() { total_seconds_ = 0.0; }
-
- private:
-  WallTimer running_;
-  double total_seconds_ = 0.0;
 };
 
 }  // namespace graphsig::util

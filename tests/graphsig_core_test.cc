@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 #include <set>
+#include <utility>
 
 #include "core/graphsig.h"
 #include "data/datasets.h"
@@ -10,6 +12,7 @@
 #include "data/motifs.h"
 #include "fsm/dfs_code.h"
 #include "graph/isomorphism.h"
+#include "obs/metrics.h"
 
 namespace graphsig::core {
 namespace {
@@ -99,6 +102,30 @@ TEST(GraphSigTest, ResultInvariantsHold) {
   EXPECT_GT(result.stats.num_vectors, 0);
   EXPECT_GT(result.stats.num_groups, 0);
   EXPECT_GE(result.stats.num_sets_mined, result.stats.num_sets_filtered);
+}
+
+// Each profile field is read from the span that brackets its stage, so
+// none can exceed the wall time that span records, and the disjoint
+// stages fit inside the whole mine.
+TEST(GraphSigTest, ProfileIsReadFromSpans) {
+  graph::GraphDatabase db = PlantedDb(data::FdtCoreMotif(), 40, 8, 558);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  registry.Reset();
+  const GraphSigProfile profile = GraphSig(FastConfig()).Mine(db).profile;
+  const std::pair<double, const obs::SpanStats*> stages[] = {
+      {profile.rwr_seconds, registry.GetSpan("features/vectorize")},
+      {profile.feature_seconds, registry.GetSpan("mine/feature")},
+      {profile.fsm_seconds, registry.GetSpan("mine/fsm")},
+      {profile.total_seconds, registry.GetSpan("mine")}};
+  for (size_t i = 0; i < std::size(stages); ++i) {
+    const auto& [seconds, span] = stages[i];
+    EXPECT_EQ(span->calls(), 1u) << "stage " << i;
+    EXPECT_LE(seconds * 1e9, static_cast<double>(span->wall_ns()) + 1.0)
+        << "stage " << i;
+  }
+  EXPECT_GE(profile.total_seconds + 1e-9, profile.rwr_seconds +
+                                              profile.feature_seconds +
+                                              profile.fsm_seconds);
 }
 
 TEST(GraphSigTest, DbFrequencyIsExact) {

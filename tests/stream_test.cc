@@ -373,6 +373,28 @@ void CheckStaleVersionStartsCold(uint32_t stale_version) {
   EXPECT_EQ(inc_counters, cold_counters);
 }
 
+// The fingerprint is stored in every checkpoint, so its bytes are part
+// of the checkpoint format: a config that fingerprints differently makes
+// every existing checkpoint restore cold.
+TEST(MineStateTest, ConfigFingerprintIsPinned) {
+  EXPECT_EQ(ConfigFingerprint(core::GraphSigConfig()),
+            "v1|rwr=0.25,1.0000000000000001e-09,1000,10,0,0|topk=5|"
+            "pv=0.10000000000000001|freq=0.10000000000000001|floor=3|"
+            "radius=8|fsg=80|minset=3|maxe=25|maxp=100000|maxr=128|"
+            "cap=18446744073709551615|budget=inf|ceil=1|tarone=0|dbfreq=1");
+
+  core::GraphSigConfig config;
+  config.tarone_alpha = 0.05;
+  config.cutoff_radius = 4;
+  config.num_threads = 8;  // not part of the fingerprint
+  EXPECT_EQ(ConfigFingerprint(config),
+            "v1|rwr=0.25,1.0000000000000001e-09,1000,10,0,0|topk=5|"
+            "pv=0.10000000000000001|freq=0.10000000000000001|floor=3|"
+            "radius=4|fsg=80|minset=3|maxe=25|maxp=100000|maxr=128|"
+            "cap=18446744073709551615|budget=inf|ceil=1|"
+            "tarone=0.050000000000000003|dbfreq=1");
+}
+
 TEST(MineStateTest, OtherVersionCheckpointStartsCold) {
   CheckStaleVersionStartsCold(1);
 }

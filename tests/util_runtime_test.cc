@@ -3,12 +3,8 @@
 #include <thread>
 
 #include "data/datasets.h"
-#include "features/feature_vector.h"
 #include "fsm/miner.h"
-#include "fvmine/fvmine.h"
-#include "stats/pvalue_model.h"
 #include "util/logging.h"
-#include "util/rng.h"
 #include "util/timer.h"
 
 namespace graphsig {
@@ -24,22 +20,6 @@ TEST(TimerTest, MeasuresElapsedTime) {
               timer.ElapsedSeconds() * 50);
   timer.Restart();
   EXPECT_LT(timer.ElapsedSeconds(), 0.015);
-}
-
-TEST(TimerTest, StageTimerAccumulates) {
-  util::StageTimer stage;
-  EXPECT_EQ(stage.total_seconds(), 0.0);
-  stage.Start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  stage.Stop();
-  const double first = stage.total_seconds();
-  EXPECT_GT(first, 0.0);
-  stage.Start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  stage.Stop();
-  EXPECT_GT(stage.total_seconds(), first);
-  stage.Reset();
-  EXPECT_EQ(stage.total_seconds(), 0.0);
 }
 
 TEST(LoggingTest, LevelFilterRoundTrips) {
@@ -79,35 +59,6 @@ TEST(MinerBudgetTest, AprioriBudgetStopsAndFlagsIncomplete) {
   fsm::MineResult result = fsm::MineFrequentApriori(db, config);
   EXPECT_FALSE(result.completed);
   EXPECT_LT(timer.ElapsedSeconds(), 10.0);
-}
-
-TEST(FvMineBudgetTest, BudgetStopsSearch) {
-  // A wide population with a permissive threshold explodes; the budget
-  // must stop it and mark the result incomplete.
-  util::Rng rng(57);
-  std::vector<features::FeatureVec> population;
-  for (int i = 0; i < 200; ++i) {
-    features::FeatureVec v(24);
-    for (auto& x : v) {
-      x = rng.NextBernoulli(0.5)
-              ? static_cast<int16_t>(1 + rng.NextBounded(9))
-              : 0;
-    }
-    population.push_back(std::move(v));
-  }
-  auto packed = features::PackedVectorSet::FromVectors(population);
-  stats::FeaturePriors priors(population, 10);
-  fvmine::FvMineConfig config;
-  config.min_support = 2;
-  config.max_pvalue = 0.999;
-  config.budget_seconds = 0.05;
-  util::WallTimer timer;
-  fvmine::FvMineResult result = fvmine::FvMine(packed, priors, config);
-  EXPECT_LT(timer.ElapsedSeconds(), 5.0);
-  // Either the search was genuinely small or the budget fired.
-  if (!result.completed) {
-    EXPECT_GT(result.states_explored, 0u);
-  }
 }
 
 }  // namespace
